@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -114,7 +113,7 @@ def cmd_gen(args) -> int:
     dataset = simulate_scenario(cfg)
     out = Path(args.out) if args.out else Path(f"case_{cfg.case}_seed{cfg.seed}.csv")
     write_dataset(dataset, out)
-    print(f"wrote {out} ({len(dataset.samples)} rows) and {sidecar_path(out)}")
+    print(f"wrote {out} ({len(dataset.t)} rows) and {sidecar_path(out)}")
     print(f"sha256 {_sha256(out)}")
     return 0
 
@@ -223,18 +222,10 @@ def cmd_run(args) -> int:
     # synthesized from, so both filters see identical models
     ekf_noise = schedule.noise if schedule is not None else None
 
-    def job(method):
+    runs_by_method = {}
+    for method in methods:
         kwargs = {"schedule": schedule} if method == "h2" else {"noise_model": ekf_noise}
-        return method, [run_filter(dataset, method, **kwargs) for _ in range(args.reps)]
-
-    parallel = args.parallel and args.reps == 1 and len(methods) > 1
-    if args.parallel and args.reps > 1:
-        print("timing repetitions always run serially; ignoring --parallel", file=sys.stderr)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=len(methods)) as pool:
-            runs_by_method = dict(pool.map(job, methods))
-    else:
-        runs_by_method = dict(job(m) for m in methods)
+        runs_by_method[method] = [run_filter(dataset, method, **kwargs) for _ in range(args.reps)]
 
     report = build_report(dataset, runs_by_method)
     out_dir = Path(args.out) if args.out else Path("bench_out")
@@ -301,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--reps", type=int, default=1, help="timing repetitions")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run filters concurrently (accuracy runs only; timing is serial)",
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the acceptance criteria")

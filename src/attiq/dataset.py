@@ -3,7 +3,8 @@
 The CSV column layout is fixed; values are written with 17 significant
 digits so numeric fields survive a write/read round trip bit-for-bit. The
 sidecar (same path with a .json suffix) carries the generating
-ScenarioConfig, including the seed.
+ScenarioConfig, including the seed. Truth angular rates are not stored, so a
+loaded Dataset has w_true None.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sim import Dataset, NoiseParams, ScenarioConfig, SensorSample, TruthState
+from .sim import Dataset, NoiseParams, ScenarioConfig
 
 COLUMNS = (
     "t",
@@ -98,52 +99,56 @@ def write_dataset(dataset: Dataset, path) -> Path:
     """Write measurements + truth to CSV and the config sidecar; returns path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(COLUMNS)]
-    for sample, truth in zip(dataset.samples, dataset.truth):
-        row = np.concatenate(
-            [[sample.t], sample.w_m, sample.a_m, sample.m_m, truth.q, truth.b]
-        )
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack(
+        [dataset.t, dataset.w_m, dataset.a_m, dataset.m_m, dataset.q_true, dataset.b_true]
+    )
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(COLUMNS), comments="")
     sidecar_path(path).write_text(
         json.dumps(config_to_dict(dataset.config), indent=2, sort_keys=True) + "\n"
     )
     return path
 
 
-def read_dataset(path) -> Dataset:
-    """Load a dataset written by write_dataset.
-
-    Truth angular rates are not part of the file format, so loaded
-    TruthState.w is None.
-    """
-    path = Path(path)
-    text = path.read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty dataset file")
-    header = tuple(name.strip() for name in lines[0].split(","))
-    if header != COLUMNS:
-        raise DatasetFormatError(
-            f"{path}: malformed header; expected {','.join(COLUMNS)}"
-        )
-    samples: list[SensorSample] = []
-    truth: list[TruthState] = []
-    for i, line in enumerate(lines[1:], start=2):
+def _raise_row_error(path: Path, rows: list[str], fallback: str):
+    """Name the first row, numbered as a file line, with a wrong field count
+    or a non-numeric field."""
+    for i, line in enumerate(rows, start=2):
         parts = line.split(",")
         if len(parts) != len(COLUMNS):
             raise DatasetFormatError(
                 f"{path}: row {i} has {len(parts)} fields, expected {len(COLUMNS)}"
             )
-        try:
-            vals = np.array([float(p) for p in parts])
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}: row {i}: {exc}") from None
-        t = vals[0]
-        samples.append(
-            SensorSample(t=t, w_m=vals[1:4], a_m=vals[4:7], m_m=vals[7:10])
+        for part in parts:
+            try:
+                float(part)
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}: row {i}: {exc}") from None
+    raise DatasetFormatError(f"{path}: {fallback}")
+
+
+def read_dataset(path) -> Dataset:
+    """Load a dataset written by write_dataset; blank lines are ignored.
+
+    Truth angular rates are not part of the file format, so the loaded
+    dataset's w_true is None.
+    """
+    path = Path(path)
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    if not lines:
+        raise DatasetFormatError(f"{path}: empty dataset file")
+    if tuple(name.strip() for name in lines[0].split(",")) != COLUMNS:
+        raise DatasetFormatError(
+            f"{path}: malformed header; expected {','.join(COLUMNS)}"
         )
-        truth.append(TruthState(t=t, q=vals[10:14], w=None, b=vals[14:17]))
+    rows = lines[1:]
+    table = np.empty((0, len(COLUMNS)))
+    if rows:
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            _raise_row_error(path, rows, str(exc))
+        if table.shape[1] != len(COLUMNS):
+            _raise_row_error(path, rows, f"expected {len(COLUMNS)} fields per row")
 
     side = sidecar_path(path)
     if not side.exists():
@@ -154,9 +159,17 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(f"{side}: invalid JSON: {exc}") from None
 
     expected_rows = config.n_samples
-    if len(samples) != expected_rows:
+    if len(rows) != expected_rows:
         raise DatasetFormatError(
-            f"{path}: row count mismatch: {len(samples)} rows, "
+            f"{path}: row count mismatch: {len(rows)} rows, "
             f"config implies {expected_rows}"
         )
-    return Dataset(config=config, samples=samples, truth=truth)
+    return Dataset(
+        config=config,
+        t=table[:, 0],
+        w_m=table[:, 1:4],
+        a_m=table[:, 4:7],
+        m_m=table[:, 7:10],
+        q_true=table[:, 10:14],
+        b_true=table[:, 14:17],
+    )

@@ -25,14 +25,13 @@ from .quat import (
     euler_of_quat,
     integrate_step,
     normalize,
-    quat_inverse,
     quat_multiply,
     quat_of_dcm,
     renormalize,
     skew,
     small_angle_quat,
 )
-from .sim import Dataset, NoiseParams, SensorSample
+from .sim import Dataset, NoiseParams
 from .synthesis import GainSchedule
 
 HYSTERESIS = 0.05  # rad, per-axis octant switching band
@@ -117,10 +116,19 @@ def predict_measurement(q, g, h) -> np.ndarray:
     return out
 
 
+def h2_propagate(state: H2State, w_m: np.ndarray, dt: float) -> H2State:
+    """Gyro propagation over one sample interval, with the octant of the
+    propagated attitude; alone, it is the step of a sample without vector
+    measurements."""
+    q_pred = integrate_step(state.q, w_m - state.b, dt)
+    return H2State(q=q_pred, b=state.b, octant=select_octant(q_pred, state.octant))
+
+
 def h2_step(
     state: H2State,
     w_m: np.ndarray,
-    sample: SensorSample,
+    a_m: np.ndarray,
+    m_m: np.ndarray,
     schedule: GainSchedule,
     dt: float,
     g,
@@ -128,17 +136,17 @@ def h2_step(
 ) -> H2State:
     """One scheduled-gain step: exact gyro propagation, fixed-gain update.
 
-    w_m is the gyro sample that spans the interval ending at `sample` (the
-    rate reported with the previous sample).
+    w_m is the gyro sample that spans the interval ending at the sample whose
+    vector measurements are a_m and m_m (the rate reported with the previous
+    sample).
     """
-    q_pred = integrate_step(state.q, w_m - state.b, dt)
-    octant = select_octant(q_pred, state.octant)
-    nu = predict_measurement(q_pred, g, h)
-    nu[:3] -= sample.a_m
-    nu[3:] -= sample.m_m
-    dx = dt * (schedule.gains[octant] @ nu)
-    q_new, b_new = _fold_correction(q_pred, state.b, dx)
-    return H2State(q=q_new, b=b_new, octant=octant)
+    pred = h2_propagate(state, w_m, dt)
+    nu = predict_measurement(pred.q, g, h)
+    nu[:3] -= a_m
+    nu[3:] -= m_m
+    dx = dt * (schedule.gains[pred.octant] @ nu)
+    q_new, b_new = _fold_correction(pred.q, state.b, dx)
+    return H2State(q=q_new, b=b_new, octant=pred.octant)
 
 
 def _measurement_jacobian(q, g, h) -> np.ndarray:
@@ -149,19 +157,9 @@ def _measurement_jacobian(q, g, h) -> np.ndarray:
     return jac
 
 
-def ekf_step(
-    state: EkfState,
-    w_m: np.ndarray,
-    sample: SensorSample,
-    noise: NoiseParams,
-    dt: float,
-    g,
-    h,
-) -> EkfState:
-    """One extended Kalman filter step (multiplicative, Joseph-form update).
-
-    w_m is the gyro sample that spans the interval ending at `sample`.
-    """
+def ekf_propagate(state: EkfState, w_m: np.ndarray, noise: NoiseParams, dt: float) -> EkfState:
+    """Attitude and covariance propagation over one sample interval; alone,
+    it is the step of a sample without vector measurements."""
     w_hat = w_m - state.b
     q_pred = integrate_step(state.q, w_hat, dt)
 
@@ -172,7 +170,26 @@ def ekf_step(
     qd = np.zeros((6, 6))
     qd[:3, :3] = noise.n_w**2 * dt * np.eye(3)
     qd[3:, 3:] = noise.n_b**2 * dt * np.eye(3)
-    p_pred = phi @ state.p @ phi.T + qd
+    return EkfState(q=q_pred, b=state.b, p=phi @ state.p @ phi.T + qd)
+
+
+def ekf_step(
+    state: EkfState,
+    w_m: np.ndarray,
+    a_m: np.ndarray,
+    m_m: np.ndarray,
+    noise: NoiseParams,
+    dt: float,
+    g,
+    h,
+) -> EkfState:
+    """One extended Kalman filter step (multiplicative, Joseph-form update).
+
+    w_m is the gyro sample that spans the interval ending at the sample whose
+    vector measurements are a_m and m_m.
+    """
+    pred = ekf_propagate(state, w_m, noise, dt)
+    q_pred, p_pred = pred.q, pred.p
 
     jac = _measurement_jacobian(q_pred, g, h)
     r_cov = np.zeros((6, 6))
@@ -181,7 +198,7 @@ def ekf_step(
     innovation_cov = jac @ p_pred @ jac.T + r_cov
     gain = p_pred @ jac.T @ np.linalg.inv(innovation_cov)
 
-    resid = np.concatenate([sample.a_m, sample.m_m]) - predict_measurement(q_pred, g, h)
+    resid = np.concatenate([a_m, m_m]) - predict_measurement(q_pred, g, h)
     dx = gain @ resid
 
     ikh = np.eye(6) - gain @ jac
@@ -192,19 +209,20 @@ def ekf_step(
     return EkfState(q=q_new, b=b_new, p=p_new)
 
 
-def initial_h2_state(sample: SensorSample, g, h) -> H2State:
-    q0 = triad_attitude(sample.a_m, sample.m_m, g, h)
+def initial_h2_state(a_m, m_m, g, h) -> H2State:
+    q0 = triad_attitude(a_m, m_m, g, h)
     return H2State(q=q0, b=np.zeros(3), octant=select_octant(q0))
 
 
 def initial_ekf_state(
-    sample: SensorSample,
+    a_m,
+    m_m,
     g,
     h,
     att_std: float = 0.1,
     bias_std: float = 0.01,
 ) -> EkfState:
-    q0 = triad_attitude(sample.a_m, sample.m_m, g, h)
+    q0 = triad_attitude(a_m, m_m, g, h)
     p0 = np.zeros((6, 6))
     p0[:3, :3] = att_std**2 * np.eye(3)
     p0[3:, 3:] = bias_std**2 * np.eye(3)
@@ -223,15 +241,8 @@ class FilterRun:
     b_est: np.ndarray  # (n, 3)
     octants: np.ndarray | None  # (n,) scheduled octant, scheduled filter only
     step_ns: np.ndarray  # (n,) wall time of each step
-    skipped: np.ndarray  # (n,) True where a non-finite sample was held
-
-
-def _sample_finite(sample: SensorSample) -> bool:
-    return bool(
-        np.all(np.isfinite(sample.w_m))
-        and np.all(np.isfinite(sample.a_m))
-        and np.all(np.isfinite(sample.m_m))
-    )
+    skipped: np.ndarray  # (n,) True where non-finite input held the state or
+    # skipped the correction
 
 
 def run_filter(
@@ -245,20 +256,29 @@ def run_filter(
 
     By default the state initializes from the first vector observations
     with zero bias; pass initial_state to start elsewhere (recovery tests).
-    Samples containing non-finite values are held (state carried forward)
-    and flagged in the result. The EKF needs a noise model with positive
-    intensities; when the dataset was generated noise-free the consumer
-    grade default at the dataset rate is used instead.
+    Step k propagates over [t_{k-1}, t_k) with the gyro sample w_m[k-1] and
+    corrects with sample k's vector measurements. Non-finite input degrades
+    the step and flags it in the result: when a_m[k] or m_m[k] is non-finite
+    the step propagates only (the EKF propagates its covariance too); when
+    w_m[k-1] is non-finite the state is held. The EKF needs a noise model
+    with positive intensities; when the dataset was generated noise-free the
+    consumer grade default at the dataset rate is used instead.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     config = dataset.config
     g, h = np.asarray(config.g, float), np.asarray(config.h, float)
-    if not dataset.samples:
+    w_m, a_m, m_m = dataset.w_m, dataset.a_m, dataset.m_m
+    n = len(dataset.t)
+    if n == 0:
         raise ValueError("dataset has no samples")
-    first = dataset.samples[0]
-    if not _sample_finite(first):
+    # validity screening happens outside the step timers so step_ns measures
+    # the filter arithmetic itself
+    rate_ok = np.isfinite(w_m).all(axis=1)
+    vectors_ok = np.isfinite(a_m).all(axis=1) & np.isfinite(m_m).all(axis=1)
+    if not (rate_ok[0] and vectors_ok[0]):
         raise ValueError("first sample is non-finite; cannot initialize")
+    rate_ok, vectors_ok = rate_ok.tolist(), vectors_ok.tolist()
 
     if method == "h2":
         if schedule is None:
@@ -273,21 +293,12 @@ def run_filter(
         if min(noise_model.n_w, noise_model.n_b, noise_model.n_a, noise_model.n_m) <= 0.0:
             noise_model = NoiseParams.mpu9250(config.sample_rate)
 
-    n = len(dataset.samples)
     dt = config.dt
     q_est = np.zeros((n, 4))
     b_est = np.zeros((n, 3))
     octants = np.zeros(n, dtype=int) if method == "h2" else None
     step_ns = np.zeros(n, dtype=np.int64)
     skipped = np.zeros(n, dtype=bool)
-
-    # validity screening happens outside the step timers so step_ns measures
-    # the filter arithmetic itself
-    fin_sample = np.empty(n, dtype=bool)
-    fin_rate = np.empty(n, dtype=bool)
-    for k, s in enumerate(dataset.samples):
-        fin_sample[k] = _sample_finite(s)
-        fin_rate[k] = bool(np.all(np.isfinite(s.w_m)))
 
     t0 = time.perf_counter_ns()
     if initial_state is not None:
@@ -297,9 +308,9 @@ def run_filter(
             raise ValueError(f"initial_state must be a {expected.__name__}")
     else:
         state = (
-            initial_h2_state(first, g, h)
+            initial_h2_state(a_m[0], m_m[0], g, h)
             if method == "h2"
-            else initial_ekf_state(first, g, h)
+            else initial_ekf_state(a_m[0], m_m[0], g, h)
         )
     step_ns[0] = time.perf_counter_ns() - t0
     q_est[0] = state.q
@@ -308,15 +319,20 @@ def run_filter(
         octants[0] = state.octant
 
     for k in range(1, n):
-        sample = dataset.samples[k]
-        w_prev = dataset.samples[k - 1].w_m  # rate spanning [t_{k-1}, t_k)
+        w_prev, a_k, m_k = w_m[k - 1], a_m[k], m_m[k]
         t0 = time.perf_counter_ns()
-        if not (fin_sample[k] and fin_rate[k - 1]):
+        if not rate_ok[k - 1]:
             skipped[k] = True
+        elif not vectors_ok[k]:
+            skipped[k] = True
+            if method == "h2":
+                state = h2_propagate(state, w_prev, dt)
+            else:
+                state = ekf_propagate(state, w_prev, noise_model, dt)
         elif method == "h2":
-            state = h2_step(state, w_prev, sample, schedule, dt, g, h)
+            state = h2_step(state, w_prev, a_k, m_k, schedule, dt, g, h)
         else:
-            state = ekf_step(state, w_prev, sample, noise_model, dt, g, h)
+            state = ekf_step(state, w_prev, a_k, m_k, noise_model, dt, g, h)
         step_ns[k] = time.perf_counter_ns() - t0
         q_est[k] = state.q
         b_est[k] = state.b
@@ -333,24 +349,31 @@ def run_filter(
 
 
 def attitude_errors(q_est: np.ndarray, q_true: np.ndarray):
-    """Per-sample body-frame error angles (n, 3) and total angles (n,), rad."""
-    n = q_est.shape[0]
-    comps = np.zeros((n, 3))
-    totals = np.zeros(n)
-    for k in range(n):
-        dq = quat_multiply(normalize(q_est[k]), quat_inverse(normalize(q_true[k])))
-        vec, scal = dq[:3], dq[3]
-        s = np.linalg.norm(vec)
-        angle = 2.0 * np.arctan2(s, abs(scal))
-        totals[k] = angle
-        if s > 0.0:
-            comps[k] = (angle / s) * vec * np.sign(scal if scal != 0.0 else 1.0)
-    return comps, totals
+    """Per-sample body-frame error angles (n, 3) and total angles (n,), rad.
+
+    The error quaternion is q_est (x) q_true^-1; the angles depend on neither
+    the norm nor the sign of either quaternion, so rows are not normalized.
+    """
+    a = np.asarray(q_est, dtype=float)
+    b = np.asarray(q_true, dtype=float)
+    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise ValueError("cannot normalize quaternion with zero or non-finite norm")
+    av, a4 = a[:, :3], a[:, 3:]
+    bv, b4 = -b[:, :3], b[:, 3:]  # vector part of the conjugate
+    vec = a4 * bv + b4 * av - np.cross(av, bv)
+    scal = a4[:, 0] * b4[:, 0] - np.sum(av * bv, axis=1)
+    s = np.linalg.norm(vec, axis=1)
+    totals = 2.0 * np.arctan2(s, np.abs(scal))
+    scale = np.divide(totals, s, out=np.zeros_like(s), where=s > 0.0)
+    scale[scal < 0.0] *= -1.0
+    return scale[:, None] * vec, totals
 
 
 @dataclass
 class ScenarioResult:
-    """Accuracy and timing summary of one filter run against truth."""
+    """Accuracy of one filter run against truth, with step timing pooled over
+    its repetitions."""
 
     method: str
     rms_axis_deg: np.ndarray  # (3,) roll/pitch/yaw error components
@@ -359,19 +382,27 @@ class ScenarioResult:
     rms_bias: np.ndarray  # (3,) rad/s
     median_step_ns: float
     mean_step_ns: float
+    std_step_ns: float
     n_skipped: int
 
 
-def evaluate_run(dataset: Dataset, run: FilterRun) -> ScenarioResult:
+def evaluate_run(dataset: Dataset, run: FilterRun, *repetitions: FilterRun) -> ScenarioResult:
+    """Score a run against the dataset's truth.
+
+    Accuracy and the skipped count come from `run`; step times (without the
+    initialization step) are pooled over `run` and any further repetitions.
+    """
     comps, totals = attitude_errors(run.q_est, dataset.q_true)
     bias_err = run.b_est - dataset.b_true
+    steps = np.concatenate([r.step_ns[1:] for r in (run, *repetitions)]).astype(float)
     return ScenarioResult(
         method=run.method,
         rms_axis_deg=np.degrees(np.sqrt(np.mean(comps**2, axis=0))),
         rms_total_deg=float(np.degrees(np.sqrt(np.mean(totals**2)))),
         max_total_deg=float(np.degrees(totals.max())),
         rms_bias=np.sqrt(np.mean(bias_err**2, axis=0)),
-        median_step_ns=float(np.median(run.step_ns[1:])),
-        mean_step_ns=float(np.mean(run.step_ns[1:])),
+        median_step_ns=float(np.median(steps)),
+        mean_step_ns=float(np.mean(steps)),
+        std_step_ns=float(np.std(steps)),
         n_skipped=int(run.skipped.sum()),
     )

@@ -9,13 +9,13 @@ version and validate against schemas/report.schema.json.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import config_to_dict
-from .filters import FilterRun, attitude_errors
+from .filters import FilterRun, ScenarioResult, attitude_errors, evaluate_run
 from .sim import Dataset
 
 REPORT_SCHEMA_VERSION = 1
@@ -36,33 +36,18 @@ TIMING_RATIO_THRESHOLD = 0.75  # extended_h2 / ekf median step time
 
 
 @dataclass
-class FilterReport:
-    """Accuracy plus pooled timing for one filter on one dataset."""
-
-    method: str  # public name
-    rms_axis_deg: np.ndarray  # (3,)
-    rms_total_deg: float
-    max_total_deg: float
-    rms_bias: np.ndarray  # (3,)
-    median_step_ns: float
-    mean_step_ns: float
-    std_step_ns: float
-    n_skipped: int
-
-
-@dataclass
 class ComparisonReport:
     """Versioned summary of a benchmark run on one dataset."""
 
     config: dict
     n_samples: int
     repetitions: int
-    filters: list[FilterReport]
+    filters: list[ScenarioResult]  # methods under their public names
     checks: list[dict] = field(default_factory=list)
     timing_ratio_h2_over_ekf: float | None = None
     schema_version: int = REPORT_SCHEMA_VERSION
 
-    def filter(self, method: str) -> FilterReport:
+    def filter(self, method: str) -> ScenarioResult:
         method = PUBLIC_NAMES.get(method, method)
         for f in self.filters:
             if f.method == method:
@@ -70,28 +55,16 @@ class ComparisonReport:
         raise KeyError(f"report has no {method!r} entry")
 
 
-def summarize_filter(dataset: Dataset, runs: list[FilterRun]) -> FilterReport:
-    """Accuracy from the first run, timing pooled over all repetitions."""
+def summarize_filter(dataset: Dataset, runs: list[FilterRun]) -> ScenarioResult:
+    """evaluate_run under the filter's public name: accuracy from the first
+    run, timing pooled over all repetitions."""
     if not runs:
         raise ValueError("at least one run is required")
-    run = runs[0]
-    comps, totals = attitude_errors(run.q_est, dataset.q_true)
-    bias_err = run.b_est - dataset.b_true
-    steps = np.concatenate([r.step_ns[1:] for r in runs]).astype(float)
-    return FilterReport(
-        method=PUBLIC_NAMES[run.method],
-        rms_axis_deg=np.degrees(np.sqrt(np.mean(comps**2, axis=0))),
-        rms_total_deg=float(np.degrees(np.sqrt(np.mean(totals**2)))),
-        max_total_deg=float(np.degrees(totals.max())),
-        rms_bias=np.sqrt(np.mean(bias_err**2, axis=0)),
-        median_step_ns=float(np.median(steps)),
-        mean_step_ns=float(np.mean(steps)),
-        std_step_ns=float(np.std(steps)),
-        n_skipped=int(run.skipped.sum()),
-    )
+    result = evaluate_run(dataset, *runs)
+    return replace(result, method=PUBLIC_NAMES[result.method])
 
 
-def _run_checks(case: str, by_method: dict[str, FilterReport], ratio) -> list[dict]:
+def _run_checks(case: str, by_method: dict[str, ScenarioResult], ratio) -> list[dict]:
     checks = []
 
     def add(name, measured, threshold):
@@ -121,7 +94,7 @@ def build_report(dataset: Dataset, runs_by_method: dict[str, list[FilterRun]]) -
     runs_by_method maps internal or public filter names to repetition lists.
     """
     filters = []
-    by_public: dict[str, FilterReport] = {}
+    by_public: dict[str, ScenarioResult] = {}
     for name, runs in runs_by_method.items():
         summary = summarize_filter(dataset, runs)
         filters.append(summary)
@@ -133,7 +106,7 @@ def build_report(dataset: Dataset, runs_by_method: dict[str, list[FilterRun]]) -
     case = dataset.config.case
     return ComparisonReport(
         config=config_to_dict(dataset.config),
-        n_samples=len(dataset.samples),
+        n_samples=len(dataset.t),
         repetitions=reps,
         filters=filters,
         checks=_run_checks(case, by_public, ratio),
@@ -229,16 +202,22 @@ TRACE_COLUMNS = (
 def write_trace(dataset: Dataset, run: FilterRun, path) -> Path:
     """Per-sample error/timing trace of one run as CSV."""
     comps, totals = attitude_errors(run.q_est, dataset.q_true)
-    bias_err = run.b_est - dataset.b_true
+    table = np.column_stack(
+        [
+            dataset.t,
+            np.degrees(comps),
+            np.degrees(totals),
+            run.b_est - dataset.b_true,
+            run.step_ns,
+        ]
+    )
     path = Path(path)
-    lines = [",".join(TRACE_COLUMNS)]
-    for k in range(run.q_est.shape[0]):
-        row = (
-            dataset.t[k],
-            *np.degrees(comps[k]),
-            np.degrees(totals[k]),
-            *bias_err[k],
-        )
-        lines.append(",".join(f"{v:.17g}" for v in row) + f",{int(run.step_ns[k])}")
-    path.write_text("\n".join(lines) + "\n")
+    np.savetxt(
+        path,
+        table,
+        fmt=["%.17g"] * (len(TRACE_COLUMNS) - 1) + ["%d"],
+        delimiter=",",
+        header=",".join(TRACE_COLUMNS),
+        comments="",
+    )
     return path

@@ -10,11 +10,15 @@ Scenario cases:
 Truth quaternions are produced by integrating the sampled body-rate sequence
 with the exact constant-rate exponential, so a filter fed the noiseless rate
 samples can track the truth to floating-point accuracy.
+
+A Dataset holds one (n, k) array per quantity, one row per sample. Its
+w_true is None when it was read from a file, which does not store the truth
+angular rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,22 +126,6 @@ class ScenarioConfig:
     @property
     def dt(self) -> float:
         return 1.0 / self.sample_rate
-
-
-@dataclass
-class TruthState:
-    t: float
-    q: np.ndarray  # unit quaternion, inertial -> body
-    w: np.ndarray | None  # body angular rate, rad/s (None when loaded from file)
-    b: np.ndarray  # gyro bias, rad/s
-
-
-@dataclass
-class SensorSample:
-    t: float
-    w_m: np.ndarray  # rad/s
-    a_m: np.ndarray  # m/s^2
-    m_m: np.ndarray  # uT
 
 
 class SensorStreams:
@@ -276,95 +264,83 @@ def _euler_profile(config: ScenarioConfig):
     return profile
 
 
-def generate_truth(
-    config: ScenarioConfig, streams: SensorStreams | None = None
-) -> list[TruthState]:
-    """Sampled truth for a scenario: attitude, body rate and gyro bias.
+def generate_truth(config: ScenarioConfig, streams: SensorStreams | None = None):
+    """Sampled truth for a scenario: times, attitude, body rate and gyro bias.
 
-    The quaternion sequence integrates the sampled rates exactly (constant
-    rate over each interval), so consecutive samples are separated by exactly
-    |w_k| * dt of rotation.
+    Returns the arrays (t, q, w, b) of shapes (n,), (n, 4), (n, 3) and
+    (n, 3). The quaternion sequence integrates the sampled rates exactly
+    (constant rate over each interval), so consecutive samples are separated
+    by exactly |w_k| * dt of rotation.
     """
     if streams is None:
         streams = SensorStreams(config.seed)
     profile = _euler_profile(config)
     n = config.n_samples
     dt = config.dt
-    n_b = config.noise.n_b
-    walk_std = n_b * np.sqrt(dt)
-
-    states: list[TruthState] = []
+    t = np.arange(n) * dt
+    q = np.empty((n, 4))
+    w = np.empty((n, 3))
     angles0, _ = profile(0.0)
-    q = quat_of_euler(*angles0)
-    b = np.array(config.noise.b0, dtype=float)
+    q_k = quat_of_euler(*angles0)
     for k in range(n):
-        t = k * dt
-        angles, rates = profile(t)
-        w = body_rates_from_euler(angles, rates)
-        states.append(TruthState(t=t, q=q, w=w, b=b))
-        q = integrate_step(q, w, dt)
-        if walk_std > 0.0:
-            b = b + walk_std * streams.bias.standard_normal(3)
-    return states
+        angles, rates = profile(k * dt)
+        w[k] = body_rates_from_euler(angles, rates)
+        q[k] = q_k
+        q_k = integrate_step(q_k, w[k], dt)
+
+    b0 = np.array(config.noise.b0, dtype=float)
+    walk_std = config.noise.n_b * np.sqrt(dt)
+    if walk_std > 0.0:
+        # stacking b0 ahead of the steps keeps the sequential summation order
+        steps = walk_std * streams.bias.standard_normal((n, 3))
+        b = np.cumsum(np.vstack([b0, steps]), axis=0)[:n]
+    else:
+        b = np.tile(b0, (n, 1))
+    return t, q, w, b
 
 
 def measure(
-    truth: TruthState,
+    q: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
     noise: NoiseParams,
     streams: SensorStreams,
     g=DEFAULT_GRAVITY,
     h=DEFAULT_FIELD,
-) -> SensorSample:
-    """One IMU sample: biased, noisy gyro plus body-frame gravity and field."""
-    c = dcm_of(truth.q)
-    w_m = truth.w + truth.b + noise.n_w * streams.gyro.standard_normal(3)
-    a_m = c @ np.asarray(g, dtype=float) + noise.n_a * streams.accel.standard_normal(3)
-    m_m = c @ np.asarray(h, dtype=float) + noise.n_m * streams.mag.standard_normal(3)
-    return SensorSample(t=truth.t, w_m=w_m, a_m=a_m, m_m=m_m)
+):
+    """IMU samples for a truth sequence: biased, noisy gyro plus body-frame
+    gravity and field. Returns the arrays (w_m, a_m, m_m), each (n, 3)."""
+    n = len(q)
+    c = np.array([dcm_of(q_k) for q_k in q]).reshape(n, 3, 3)
+    w_m = w + b + noise.n_w * streams.gyro.standard_normal((n, 3))
+    a_m = c @ np.asarray(g, dtype=float) + noise.n_a * streams.accel.standard_normal((n, 3))
+    m_m = c @ np.asarray(h, dtype=float) + noise.n_m * streams.mag.standard_normal((n, 3))
+    return w_m, a_m, m_m
 
 
 @dataclass
 class Dataset:
+    """One scenario's samples as arrays, one row per sample.
+
+    w_true is None when the dataset was read from a file, which does not
+    carry the truth angular rates.
+    """
+
     config: ScenarioConfig
-    samples: list[SensorSample]
-    truth: list[TruthState]
-    _arrays: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def _stack(self, name, build):
-        if name not in self._arrays:
-            self._arrays[name] = build()
-        return self._arrays[name]
-
-    @property
-    def t(self) -> np.ndarray:
-        return self._stack("t", lambda: np.array([s.t for s in self.samples]))
-
-    @property
-    def w_m(self) -> np.ndarray:
-        return self._stack("w_m", lambda: np.array([s.w_m for s in self.samples]))
-
-    @property
-    def a_m(self) -> np.ndarray:
-        return self._stack("a_m", lambda: np.array([s.a_m for s in self.samples]))
-
-    @property
-    def m_m(self) -> np.ndarray:
-        return self._stack("m_m", lambda: np.array([s.m_m for s in self.samples]))
-
-    @property
-    def q_true(self) -> np.ndarray:
-        return self._stack("q_true", lambda: np.array([s.q for s in self.truth]))
-
-    @property
-    def b_true(self) -> np.ndarray:
-        return self._stack("b_true", lambda: np.array([s.b for s in self.truth]))
+    t: np.ndarray  # (n,) s
+    w_m: np.ndarray  # (n, 3) rad/s
+    a_m: np.ndarray  # (n, 3) m/s^2
+    m_m: np.ndarray  # (n, 3) uT
+    q_true: np.ndarray  # (n, 4) unit quaternion, inertial -> body
+    b_true: np.ndarray  # (n, 3) gyro bias, rad/s
+    w_true: np.ndarray | None = None  # (n, 3) body angular rate, rad/s
 
 
 def simulate_scenario(config: ScenarioConfig) -> Dataset:
     """Generate truth and measurements for a scenario config."""
     streams = SensorStreams(config.seed)
-    truth = generate_truth(config, streams)
-    samples = [
-        measure(state, config.noise, streams, config.g, config.h) for state in truth
-    ]
-    return Dataset(config=config, samples=samples, truth=truth)
+    t, q, w, b = generate_truth(config, streams)
+    w_m, a_m, m_m = measure(q, w, b, config.noise, streams, config.g, config.h)
+    return Dataset(
+        config=config, t=t, w_m=w_m, a_m=a_m, m_m=m_m, q_true=q, b_true=b, w_true=w
+    )

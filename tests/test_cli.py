@@ -227,20 +227,6 @@ class TestRun:
         report = json.loads((workdir / "alias" / "report.json").read_text())
         assert [f["method"] for f in report["filters"]] == ["extended_h2"]
 
-    def test_parallel_matches_serial_estimates(self, workdir, gains_path):
-        dataset = gen(workdir, "--case", "II", "--seed", "3", "--duration", "2")
-        for flag, out in ((False, "serial"), (True, "par")):
-            argv = ["run", "--dataset", str(dataset), "--gains", str(gains_path),
-                    "--out", out]
-            if flag:
-                argv.append("--parallel")
-            assert main(argv) == 0
-        serial = json.loads((workdir / "serial" / "report.json").read_text())
-        par = json.loads((workdir / "par" / "report.json").read_text())
-        for s, p in zip(serial["filters"], par["filters"]):
-            assert s["rms_axis_deg"] == p["rms_axis_deg"]
-            assert s["rms_total_deg"] == p["rms_total_deg"]
-
     def test_missing_dataset_fails(self, workdir, gains_path, capsys):
         code = main(["run", "--dataset", "nope.csv", "--gains", str(gains_path)])
         assert code == 2

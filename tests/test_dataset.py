@@ -66,7 +66,26 @@ class TestRoundTrip:
 
     def test_loaded_truth_has_no_rates(self, small_dataset, tmp_path):
         loaded = read_dataset(write_small(small_dataset, tmp_path))
-        assert all(s.w is None for s in loaded.truth)
+        assert loaded.w_true is None
+
+    def test_bytes_match_row_by_row_rendering(self, small_dataset, tmp_path):
+        path = write_small(small_dataset, tmp_path)
+        ds = small_dataset
+        table = np.column_stack([ds.t, ds.w_m, ds.a_m, ds.m_m, ds.q_true, ds.b_true])
+        rows = [",".join(format(v, ".17g") for v in row) for row in table]
+        expected = "\n".join([",".join(COLUMNS), *rows]) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_non_finite_values_round_trip(self, small_dataset, tmp_path):
+        ds = simulate_scenario(small_dataset.config)
+        ds.a_m[3] = np.nan
+        ds.m_m[7, 1] = np.nan
+        ds.w_m[9, 2] = -np.inf
+        loaded = read_dataset(write_dataset(ds, tmp_path / "holes.csv"))
+        for name in ("t", "w_m", "a_m", "m_m", "q_true", "b_true"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(ds, name))
+        assert np.array_equal(np.isnan(loaded.a_m), np.isnan(ds.a_m))
+        assert np.isnan(loaded.a_m).sum() == 3 and np.isnan(loaded.m_m).sum() == 1
 
     def test_rewrite_is_byte_identical(self, small_dataset, tmp_path):
         p1 = write_dataset(small_dataset, tmp_path / "a.csv")

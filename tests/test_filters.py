@@ -17,13 +17,20 @@ from attiq.filters import (
     triad_attitude,
 )
 from attiq.plant import OCTANT_TRIPLES, LinearErrorPlant, build_plant
-from attiq.quat import angular_distance, dcm_of, quat_multiply, quat_of_euler, renormalize
+from attiq.quat import (
+    angular_distance,
+    dcm_of,
+    normalize,
+    quat_inverse,
+    quat_multiply,
+    quat_of_euler,
+    renormalize,
+)
 from attiq.sim import (
     DEFAULT_FIELD,
     DEFAULT_GRAVITY,
     NoiseParams,
     ScenarioConfig,
-    SensorSample,
     simulate_scenario,
 )
 from attiq.synthesis import default_design_noise, solve_h2_care, synthesize_schedule
@@ -46,10 +53,10 @@ def random_quat(rng):
     return q / np.linalg.norm(q)
 
 
-def ideal_sample(q, w=(0.0, 0.0, 0.0)):
-    """Noise-free measurements at attitude q."""
+def ideal_vectors(q):
+    """Noise-free accelerometer and magnetometer measurements at attitude q."""
     c = dcm_of(q)
-    return SensorSample(t=0.0, w_m=np.asarray(w, float), a_m=c @ G, m_m=c @ H)
+    return c @ G, c @ H
 
 
 def static_config(seed, duration=10.0, **overrides):
@@ -64,17 +71,17 @@ class TestTriad:
     def test_exact_recovery(self, seed):
         rng = np.random.default_rng(seed)
         q = random_quat(rng)
-        s = ideal_sample(q)
-        q_hat = triad_attitude(s.a_m, s.m_m, G, H)
+        a_m, m_m = ideal_vectors(q)
+        q_hat = triad_attitude(a_m, m_m, G, H)
         # the metric itself saturates near sqrt(eps) for tiny angles
         assert angular_distance(q_hat, q) < 1e-7
 
     def test_noise_gives_small_error(self):
         rng = np.random.default_rng(7)
         q = random_quat(rng)
-        s = ideal_sample(q)
-        a = s.a_m + 0.098 * rng.standard_normal(3)
-        m = s.m_m + 0.6 * rng.standard_normal(3)
+        a_m, m_m = ideal_vectors(q)
+        a = a_m + 0.098 * rng.standard_normal(3)
+        m = m_m + 0.6 * rng.standard_normal(3)
         assert np.degrees(angular_distance(triad_attitude(a, m, G, H), q)) < 3.0
 
     def test_parallel_references_rejected(self):
@@ -139,7 +146,7 @@ class TestH2Step:
     def test_zero_innovation_is_fixed_point(self, schedule):
         q = quat_of_euler(0.2, -0.1, 0.3)
         state = H2State(q=q, b=np.zeros(3), octant=select_octant(q))
-        after = h2_step(state, np.zeros(3), ideal_sample(q), schedule, DT, G, H)
+        after = h2_step(state, np.zeros(3), *ideal_vectors(q), schedule, DT, G, H)
         assert angular_distance(after.q, q) < 1e-12
         assert np.allclose(after.b, 0.0)
 
@@ -148,17 +155,18 @@ class TestH2Step:
         dq = renormalize(np.array([0.005, 0.0, 0.0, 1.0]))  # ~0.57 deg roll error
         state = H2State(q=quat_multiply(dq, q_true), b=np.zeros(3), octant=0)
         before = angular_distance(state.q, q_true)
-        after = h2_step(state, np.zeros(3), ideal_sample(q_true), schedule, DT, G, H)
+        after = h2_step(state, np.zeros(3), *ideal_vectors(q_true), schedule, DT, G, H)
         assert angular_distance(after.q, q_true) < before
 
     def test_bias_error_strictly_decreases(self, schedule):
         b_true = np.array([0.005, -0.003, 0.004])
         q = np.array([0.0, 0.0, 0.0, 1.0])
-        sample = ideal_sample(q, w=b_true)  # gyro reads pure bias
+        a_m, m_m = ideal_vectors(q)
         state = H2State(q=q, b=np.zeros(3), octant=0)
         norms = []
         for _ in range(100):
-            state = h2_step(state, sample.w_m, sample, schedule, DT, G, H)
+            # the gyro reads pure bias
+            state = h2_step(state, b_true, a_m, m_m, schedule, DT, G, H)
             norms.append(np.linalg.norm(state.b - b_true))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -184,9 +192,9 @@ class TestEkf:
     def test_covariance_stays_symmetric_psd(self):
         ds = simulate_scenario(ScenarioConfig.for_case("II", seed=4))
         noise = default_design_noise(150.0)
-        state = initial_ekf_state(ds.samples[0], G, H)
-        for k in range(1, len(ds.samples)):
-            state = ekf_step(state, ds.samples[k - 1].w_m, ds.samples[k], noise, DT, G, H)
+        state = initial_ekf_state(ds.a_m[0], ds.m_m[0], G, H)
+        for k in range(1, len(ds.t)):
+            state = ekf_step(state, ds.w_m[k - 1], ds.a_m[k], ds.m_m[k], noise, DT, G, H)
             assert np.max(np.abs(state.p - state.p.T)) < 1e-10
         assert np.linalg.eigvalsh(state.p).min() > -1e-12
 
@@ -202,9 +210,9 @@ class TestEkf:
             b=np.zeros(3),
             p=np.diag([0.1**2] * 3 + [0.01**2] * 3),
         )
-        sample = ideal_sample(state.q)
+        a_m, m_m = ideal_vectors(state.q)
         for _ in range(8000):
-            state = ekf_step(state, np.zeros(3), sample, noise, dt, G, H)
+            state = ekf_step(state, np.zeros(3), a_m, m_m, noise, dt, G, H)
 
         f = np.zeros((6, 6))
         f[:3, 3:] = -np.eye(3)
@@ -255,29 +263,46 @@ class TestRunFilter:
 
     def test_initial_state_type_checked(self, schedule):
         ds = simulate_scenario(static_config(1, duration=1.0))
-        bad = initial_ekf_state(ds.samples[0], G, H)
+        bad = initial_ekf_state(ds.a_m[0], ds.m_m[0], G, H)
         with pytest.raises(ValueError, match="H2State"):
             run_filter(ds, "h2", schedule=schedule, initial_state=bad)
 
     def test_first_sample_must_be_finite(self, schedule):
         ds = simulate_scenario(static_config(1, duration=1.0))
-        ds.samples[0].a_m = np.array([np.nan, 0.0, 0.0])
+        ds.a_m[0] = [np.nan, 0.0, 0.0]
         with pytest.raises(ValueError, match="first sample"):
             run_filter(ds, "h2", schedule=schedule)
 
     @pytest.mark.parametrize("method", ["h2", "ekf"])
     def test_dropout_holds_state_and_flags(self, method, schedule):
         ds = simulate_scenario(static_config(2, duration=2.0))
+        clean = run_filter(ds, method, schedule=schedule)
         j = 100
-        ds.samples[j].w_m = np.array([np.inf, 0.0, 0.0])
+        ds.w_m[j] = [np.inf, 0.0, 0.0]
         run = run_filter(ds, method, schedule=schedule)
-        # the bad sample is held, and the next step loses its spanning rate
-        assert run.skipped[j] and run.skipped[j + 1]
-        assert run.skipped.sum() == 2
-        assert np.array_equal(run.q_est[j], run.q_est[j - 1])
-        assert np.array_equal(run.q_est[j + 1], run.q_est[j - 1])
+        # step j propagates with the finite w_m[j-1] and corrects with sample
+        # j; step j+1 loses its spanning rate and holds the state
+        assert np.array_equal(run.skipped, np.arange(len(ds.t)) == j + 1)
+        assert np.array_equal(run.q_est[: j + 1], clean.q_est[: j + 1])
+        assert np.array_equal(run.b_est[: j + 1], clean.b_est[: j + 1])
+        assert np.array_equal(run.q_est[j + 1], run.q_est[j])
+        assert np.array_equal(run.b_est[j + 1], run.b_est[j])
         assert not np.array_equal(run.q_est[j + 2], run.q_est[j + 1])
         assert np.all(np.isfinite(run.q_est))
+
+    @pytest.mark.parametrize("method", ["h2", "ekf"])
+    def test_missing_vectors_keep_gyro_propagation(self, method, schedule):
+        # Case II turns at about 0.9 rad/s around sample 600: holding the
+        # state over the 15 missing samples would leave a ~5 deg error
+        ds = simulate_scenario(ScenarioConfig.for_case("II", seed=1))
+        ds.a_m[600:615] = np.nan
+        run = run_filter(ds, method, schedule=schedule, noise_model=schedule.noise)
+        gap = np.zeros(len(ds.t), dtype=bool)
+        gap[600:615] = True
+        assert np.array_equal(run.skipped, gap)
+        _, totals = attitude_errors(run.q_est, ds.q_true)
+        assert np.degrees(totals[616]) < 1.0
+        assert np.all(np.isfinite(run.q_est)) and np.all(np.isfinite(run.b_est))
 
     def test_deterministic_reruns(self, schedule):
         ds = simulate_scenario(ScenarioConfig.for_case("II", seed=9))
@@ -315,6 +340,29 @@ class TestEvaluate:
         assert res.max_total_deg >= res.rms_total_deg
         assert res.median_step_ns > 0.0
         assert res.n_skipped == 0
+
+    def test_attitude_errors_match_per_sample_reference(self, schedule):
+        def reference(q_est, q_true):
+            comps, totals = np.zeros((len(q_est), 3)), np.zeros(len(q_est))
+            for k in range(len(q_est)):
+                dq = quat_multiply(normalize(q_est[k]), quat_inverse(normalize(q_true[k])))
+                s = np.linalg.norm(dq[:3])
+                totals[k] = 2.0 * np.arctan2(s, abs(dq[3]))
+                if s > 0.0:
+                    comps[k] = totals[k] / s * dq[:3] * (np.sign(dq[3]) or 1.0)
+            return comps, totals
+
+        ds = simulate_scenario(ScenarioConfig.for_case("III", seed=1))
+        run = run_filter(ds, "h2", schedule=schedule)
+        rng = np.random.default_rng(5)
+        q_a = rng.standard_normal((500, 4))
+        q_b = rng.standard_normal((500, 4)) * rng.choice([-1.0, 1.0], size=(500, 1))
+        q_b[::7] = -q_a[::7]  # same attitude, opposite sign
+        for q_est, q_true in ((run.q_est, ds.q_true), (q_a, q_b), (-q_a, q_b)):
+            comps, totals = attitude_errors(q_est, q_true)
+            ref_comps, ref_totals = reference(q_est, q_true)
+            assert np.max(np.abs(comps - ref_comps)) <= 1e-12
+            assert np.max(np.abs(totals - ref_totals)) <= 1e-12
 
     def test_attitude_errors_sign_invariant(self):
         rng = np.random.default_rng(11)

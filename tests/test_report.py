@@ -78,7 +78,7 @@ class TestSummarize:
 class TestBuildReport:
     def test_header_fields(self, dataset, report):
         assert report.schema_version == REPORT_SCHEMA_VERSION
-        assert report.n_samples == len(dataset.samples)
+        assert report.n_samples == len(dataset.t)
         assert report.repetitions == 2
         assert report.config["case"] == "III"
         assert [f.method for f in report.filters] == ["extended_h2", "ekf"]
@@ -197,7 +197,7 @@ class TestTrace:
         path = write_trace(dataset, run, tmp_path / "trace.csv")
         lines = path.read_text().splitlines()
         assert tuple(lines[0].split(",")) == TRACE_COLUMNS
-        assert len(lines) - 1 == len(dataset.samples)
+        assert len(lines) - 1 == len(dataset.t)
 
         table = np.genfromtxt(path, delimiter=",", names=True)
         comps, totals = attitude_errors(run.q_est, dataset.q_true)

@@ -45,77 +45,89 @@ class TestScenarioConfig:
 
 class TestTruth:
     def test_case_one_starts_level_at_rest(self):
-        truth = generate_truth(quiet_config("I"))
-        np.testing.assert_allclose(truth[0].q, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
-        np.testing.assert_allclose(truth[0].w, 0.0, atol=1e-15)
+        _, q, w, _ = generate_truth(quiet_config("I"))
+        np.testing.assert_allclose(q[0], [0.0, 0.0, 0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(w[0], 0.0, atol=1e-15)
 
     def test_all_cases_start_level(self):
         for case in ("I", "II", "III", "IV"):
-            truth = generate_truth(quiet_config(case))
-            assert angular_distance(truth[0].q, np.array([0, 0, 0, 1.0])) < 1e-12
+            _, q, _, _ = generate_truth(quiet_config(case))
+            assert angular_distance(q[0], np.array([0, 0, 0, 1.0])) < 1e-12
 
     def test_case_one_single_axis_bounded(self):
         cfg = quiet_config("I")
-        truth = generate_truth(cfg)
+        t, q, _, _ = generate_truth(cfg)
         limit = np.radians(30.0)
         seg = cfg.duration / 3.0
-        for state in truth:
-            angles = euler_of_quat(state.q)
+        for t_k, q_k in zip(t, q):
+            angles = euler_of_quat(q_k)
             assert np.max(np.abs(angles)) < limit
             # axes other than the active one stay at rest
-            active = min(int(state.t / seg), 2)
+            active = min(int(t_k / seg), 2)
             others = np.delete(np.abs(angles), active)
             assert np.max(others) < 1e-3
 
     def test_case_two_excursions_exceed_thirty_deg(self):
-        truth = generate_truth(quiet_config("II"))
-        angles = np.array([euler_of_quat(s.q) for s in truth])
+        _, q, w, _ = generate_truth(quiet_config("II"))
+        angles = np.array([euler_of_quat(q_k) for q_k in q])
         assert np.all(np.max(np.abs(angles), axis=0) > np.radians(30.0))
-        rates = np.array([np.linalg.norm(s.w) for s in truth])
+        rates = np.linalg.norm(w, axis=1)
         assert rates.max() > 0.8 * CASE_DEFAULTS["II"][1]
 
     def test_case_three_pitch_passes_vertical(self):
-        truth = generate_truth(quiet_config("III"))
+        _, q, w, _ = generate_truth(quiet_config("III"))
         # the sweep is a pure y-axis rotation, so the physical pitch is the
         # rotation angle about y
-        pitch = np.array([2.0 * np.arctan2(s.q[1], s.q[3]) for s in truth])
+        pitch = 2.0 * np.arctan2(q[:, 1], q[:, 3])
         assert pitch.max() > np.pi / 2
-        rates = np.array([np.linalg.norm(s.w) for s in truth])
+        rates = np.linalg.norm(w, axis=1)
         assert rates.max() == pytest.approx(CASE_DEFAULTS["III"][1], rel=1e-2)
 
     def test_case_four_script_has_three_heading_changes(self):
-        truth = generate_truth(quiet_config("IV"))
-        yaw = np.unwrap([euler_of_quat(s.q)[2] for s in truth])
+        _, q, _, _ = generate_truth(quiet_config("IV"))
+        angles = np.array([euler_of_quat(q_k) for q_k in q])
+        yaw = np.unwrap(angles[:, 2])
         assert yaw[-1] == pytest.approx(4.0, abs=0.01)
-        pitch = np.array([euler_of_quat(s.q)[1] for s in truth])
+        pitch = angles[:, 1]
         assert pitch.max() > np.radians(5.0)  # take-off transient
         assert pitch.min() < np.radians(-3.0)  # descent
 
     def test_consecutive_samples_within_rate_bound(self):
         for case in ("I", "II", "III", "IV"):
             cfg = quiet_config(case, duration=6.0)
-            truth = generate_truth(cfg)
-            for a, b in zip(truth, truth[1:]):
-                bound = np.linalg.norm(a.w) * cfg.dt + 1e-6
-                assert angular_distance(a.q, b.q) <= bound
+            _, q, w, _ = generate_truth(cfg)
+            for k in range(len(q) - 1):
+                bound = np.linalg.norm(w[k]) * cfg.dt + 1e-6
+                assert angular_distance(q[k], q[k + 1]) <= bound
 
     def test_zero_angular_rate_is_static(self):
-        truth = generate_truth(quiet_config("I", angular_rate=0.0, duration=2.0))
-        for state in truth:
-            assert angular_distance(state.q, np.array([0, 0, 0, 1.0])) < 1e-14
-            np.testing.assert_allclose(state.w, 0.0, atol=1e-15)
+        _, q, w, _ = generate_truth(quiet_config("I", angular_rate=0.0, duration=2.0))
+        for q_k in q:
+            assert angular_distance(q_k, np.array([0, 0, 0, 1.0])) < 1e-14
+        np.testing.assert_allclose(w, 0.0, atol=1e-15)
 
     def test_bias_constant_when_walk_disabled(self):
         noise = NoiseParams(n_w=0.0, n_b=0.0, n_a=0.0, n_m=0.0, b0=(0.02, -0.01, 0.015))
-        truth = generate_truth(quiet_config("II", noise=noise, duration=2.0))
-        for state in truth:
-            np.testing.assert_array_equal(state.b, [0.02, -0.01, 0.015])
+        _, _, _, b = generate_truth(quiet_config("II", noise=noise, duration=2.0))
+        for b_k in b:
+            np.testing.assert_array_equal(b_k, [0.02, -0.01, 0.015])
+
+    def test_bias_walk_matches_sequential_sum(self):
+        # reference: the walk accumulated one step at a time from the bias stream
+        cfg = ScenarioConfig.for_case("IV", seed=7)
+        _, _, _, b = generate_truth(cfg)
+        bias = SensorStreams(cfg.seed).bias
+        walk_std = cfg.noise.n_b * np.sqrt(cfg.dt)
+        b_k = np.array(cfg.noise.b0)
+        for k in range(cfg.n_samples):
+            assert np.array_equal(b[k], b_k)
+            b_k = b_k + walk_std * bias.standard_normal(3)
 
     def test_bias_walks_with_configured_intensity(self):
         noise = NoiseParams(n_w=0.0, n_b=1e-3, n_a=0.0, n_m=0.0)
         cfg = quiet_config("I", noise=noise, angular_rate=0.0, duration=40.0)
-        truth = generate_truth(cfg)
-        steps = np.diff(np.array([s.b for s in truth]), axis=0)
+        _, _, _, b = generate_truth(cfg)
+        steps = np.diff(b, axis=0)
         expected = 1e-3 * np.sqrt(cfg.dt)
         assert np.std(steps) == pytest.approx(expected, rel=0.05)
 
@@ -123,16 +135,15 @@ class TestTruth:
 class TestMeasure:
     def test_noise_free_measurements_are_exact(self):
         ds = simulate_scenario(quiet_config("II", duration=2.0))
-        for sample, state in zip(ds.samples, ds.truth):
-            c = dcm_of(state.q)
-            np.testing.assert_allclose(sample.w_m, state.w, atol=1e-15)
-            np.testing.assert_allclose(sample.a_m, c @ [0.0, 0.0, 9.81], atol=1e-12)
+        np.testing.assert_allclose(ds.w_m, ds.w_true, atol=1e-15)
+        for q_k, a_k in zip(ds.q_true, ds.a_m):
+            np.testing.assert_allclose(a_k, dcm_of(q_k) @ [0.0, 0.0, 9.81], atol=1e-12)
 
     def test_gyro_includes_bias(self):
         noise = NoiseParams(n_w=0.0, n_b=0.0, n_a=0.0, n_m=0.0, b0=(0.01, 0.02, -0.03))
         ds = simulate_scenario(quiet_config("I", noise=noise, duration=1.0))
-        for sample, state in zip(ds.samples, ds.truth):
-            np.testing.assert_allclose(sample.w_m - state.w, [0.01, 0.02, -0.03])
+        for bias in ds.w_m - ds.w_true:
+            np.testing.assert_allclose(bias, [0.01, 0.02, -0.03])
 
     def test_determinism(self):
         cfg = ScenarioConfig.for_case("II", seed=99, duration=2.0)
@@ -158,7 +169,7 @@ class TestMeasure:
             noise=noise,
         )
         ds = simulate_scenario(cfg)
-        n = len(ds.samples)
+        n = len(ds.t)
         assert n == 100000
         gyro_res = ds.w_m - ds.b_true
         accel_res = ds.a_m - np.array([0.0, 0.0, 9.81])
@@ -167,16 +178,32 @@ class TestMeasure:
             assert np.std(res) == pytest.approx(std, rel=0.05)
         assert np.all(np.abs(accel_res.mean(axis=0)) < 3.0 * 0.05 / np.sqrt(n))
 
+    @pytest.mark.parametrize("case", ["I", "II", "III", "IV"])
+    def test_matches_per_sample_reference(self, case):
+        # reference: one DCM and one draw per channel for each sample in turn
+        cfg = ScenarioConfig.for_case(case, seed=7, duration=5.0)
+        ds = simulate_scenario(cfg)
+        streams = SensorStreams(cfg.seed)
+        noise, g, h = cfg.noise, np.array(cfg.g), np.array(cfg.h)
+        for k in range(cfg.n_samples):
+            c = dcm_of(ds.q_true[k])
+            w_m = ds.w_true[k] + ds.b_true[k] + noise.n_w * streams.gyro.standard_normal(3)
+            a_m = c @ g + noise.n_a * streams.accel.standard_normal(3)
+            m_m = c @ h + noise.n_m * streams.mag.standard_normal(3)
+            assert np.array_equal(ds.w_m[k], w_m)
+            assert np.array_equal(ds.a_m[k], a_m)
+            assert np.array_equal(ds.m_m[k], m_m)
+
     def test_streams_are_independent_channels(self):
         # consuming the gyro stream must not shift accel or mag draws
         noise = NoiseParams(n_w=1e-3, n_b=0.0, n_a=1e-2, n_m=0.5)
         cfg = quiet_config("I", noise=noise, duration=1.0)
-        truth = generate_truth(cfg)
+        _, q, w, b = generate_truth(cfg)
         s1 = SensorStreams(cfg.seed)
         s2 = SensorStreams(cfg.seed)
         s2.gyro.standard_normal(3000)  # burn the gyro channel only
-        a1 = measure(truth[0], noise, s1)
-        a2 = measure(truth[0], noise, s2)
-        assert not np.array_equal(a1.w_m, a2.w_m)
-        np.testing.assert_array_equal(a1.a_m, a2.a_m)
-        np.testing.assert_array_equal(a1.m_m, a2.m_m)
+        w1, a1, m1 = measure(q, w, b, noise, s1)
+        w2, a2, m2 = measure(q, w, b, noise, s2)
+        assert not np.array_equal(w1, w2)
+        np.testing.assert_array_equal(a1, a2)
+        np.testing.assert_array_equal(m1, m2)

@@ -83,7 +83,10 @@ def select_octant(q, prev: int | None = None, hysteresis: float = HYSTERESIS) ->
     Each roll/pitch/yaw angle snaps to the 0 or pi half of its circle; a
     previous octant keeps the old half until the angle moves past the
     quarter-turn boundary by the hysteresis band, so a trajectory riding a
-    boundary does not chatter between gains.
+    roll or yaw boundary does not chatter between gains. The band does not
+    help at pitch +-90 deg: crossing it flips roll and yaw by 180 deg, so
+    pitch alternating between 89.95 and 90.05 deg still selects octants
+    0, 6, 0, 6, ...
     """
     angles = euler_of_quat(q)
     if prev is None:
@@ -255,7 +258,8 @@ def run_filter(
     """Run one filter over a dataset; estimates are causal per sample.
 
     By default the state initializes from the first vector observations
-    with zero bias; pass initial_state to start elsewhere (recovery tests).
+    with zero bias, so only a_m[0] and m_m[0] must be finite; pass
+    initial_state to start elsewhere (recovery tests).
     Step k propagates over [t_{k-1}, t_k) with the gyro sample w_m[k-1] and
     corrects with sample k's vector measurements. Non-finite input degrades
     the step and flags it in the result: when a_m[k] or m_m[k] is non-finite
@@ -276,8 +280,8 @@ def run_filter(
     # the filter arithmetic itself
     rate_ok = np.isfinite(w_m).all(axis=1)
     vectors_ok = np.isfinite(a_m).all(axis=1) & np.isfinite(m_m).all(axis=1)
-    if not (rate_ok[0] and vectors_ok[0]):
-        raise ValueError("first sample is non-finite; cannot initialize")
+    if not vectors_ok[0]:
+        raise ValueError("first sample has non-finite vectors; cannot initialize")
     rate_ok, vectors_ok = rate_ok.tolist(), vectors_ok.tolist()
 
     if method == "h2":

@@ -1,10 +1,11 @@
 """Dense log-barrier interior-point solver for linear matrix inequalities.
 
 Solves  minimize c^T x  subject to  F0 + sum_i x_i Fi < 0  (negative
-definite) over a list of symmetric blocks, with the standard two-phase
-log-det barrier method: damped Newton on  t c^T x - sum log det(-F(x))
-for a geometrically increasing sequence of t. The bound nu / t on the
-duality gap (nu = total cone dimension) is the termination certificate.
+definite) over a list of symmetric blocks, with the log-det barrier
+method: damped Newton on  t c^T x - sum log det(-F(x))  for a
+geometrically increasing sequence of t. The bound nu / t on the duality
+gap (nu = total cone dimension) is the termination certificate. There is
+no feasibility phase: the caller supplies a strictly feasible start.
 
 Everything is dense and deterministic. Problem sizes here are tens of
 variables and cone blocks of a few tens of rows, where Cholesky-based
@@ -13,19 +14,20 @@ Newton steps are fast and robust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtri
 
 
+# initial barrier weight and its growth factor per outer iteration
+T0 = 1.0
+MU = 20.0
+
+
 class SdpError(RuntimeError):
     """Solver failure: no convergence or an ill-posed problem."""
-
-
-class SdpInfeasibleError(SdpError):
-    """No strictly feasible point was found (phase I optimum >= 0)."""
 
 
 @dataclass
@@ -116,7 +118,7 @@ def _solve_newton_system(hess, rhs):
     raise SdpError("Newton system is numerically singular")
 
 
-def _newton(bar, c_vec, t, x, factors, tol=1e-10, max_iter=250, stop_when=None):
+def _newton(bar, c_vec, t, x, factors, tol=1e-10, max_iter=250):
     """Center t*c^T x + barrier; returns (x, factors, converged, iterations)."""
     phi = bar.value(factors)
     for it in range(max_iter):
@@ -142,59 +144,18 @@ def _newton(bar, c_vec, t, x, factors, tol=1e-10, max_iter=250, stop_when=None):
             # line search exhausted: accept only if already well centered
             return x, factors, lam2 <= 1e-6, it
         x, factors, phi = x_new, factors_new, phi_new
-        if stop_when is not None and stop_when(x):
-            return x, factors, True, it + 1
     return x, factors, False, max_iter
 
 
-def _phase_one(bar: _Barrier, x_start, mu, max_outer):
-    """Find a strictly feasible x by minimizing s with F(x) - s I < 0."""
-    aug = [
-        LmiBlock(f0, np.concatenate([fs, -np.eye(f0.shape[0])[None]]))
-        for f0, fs in zip(bar.f0s, bar.coeffs)
-    ]
-    bar1 = _Barrier(aug)
-    lam_max = max(
-        np.linalg.eigvalsh(f0 + np.tensordot(x_start, fs, axes=1)).max()
-        for f0, fs in zip(bar.f0s, bar.coeffs)
-    )
-    x = np.concatenate([x_start, [lam_max + 1.0]])
-    factors = bar1.chol(x)
-    if factors is None:
-        raise SdpError("phase I initialization failed")
-    c1 = np.zeros(bar.m + 1)
-    c1[-1] = 1.0
-    t = 1.0
-    negative_s = lambda z: z[-1] < 0.0
-    for _ in range(max_outer):
-        x, factors, ok, _ = _newton(bar1, c1, t, x, factors, stop_when=negative_s)
-        if x[-1] < 0.0 and bar.chol(x[:-1]) is not None:
-            return x[:-1]
-        if bar1.nu / t <= 1e-10 * max(1.0, abs(x[-1])) or not ok:
-            break
-        t *= mu
-    raise SdpInfeasibleError(
-        f"no strictly feasible point found (phase I optimum {x[-1]:.3e})"
-    )
-
-
 def solve_sdp(
-    c,
-    blocks,
-    *,
-    x0=None,
-    rel_gap: float = 1e-9,
-    abs_gap: float = 0.0,
-    t0: float = 1.0,
-    mu: float = 20.0,
-    max_outer: int = 100,
+    c, blocks, *, x0, rel_gap: float = 1e-9, max_outer: int = 100
 ) -> SdpResult:
     """Minimize c^T x subject to every block being negative definite.
 
-    blocks may be LmiBlock instances or (f0, coeffs) pairs. An optional
-    strictly feasible x0 skips phase I. Raises SdpInfeasibleError when no
-    strictly feasible point exists and SdpError when the central path
-    cannot be followed to the requested gap.
+    blocks may be LmiBlock instances or (f0, coeffs) pairs. The barrier
+    path starts at x0, which must be strictly feasible. Raises SdpError
+    when it is not, and when the central path cannot be followed to a
+    duality gap of rel_gap * max(1, |c^T x|).
     """
     c = np.asarray(c, dtype=float)
     blocks = [b if isinstance(b, LmiBlock) else LmiBlock(*b) for b in blocks]
@@ -207,17 +168,12 @@ def solve_sdp(
             )
     bar = _Barrier(blocks)
 
-    if x0 is not None:
-        x = np.array(x0, dtype=float)
-        factors = bar.chol(x)
-        if factors is None:
-            x = _phase_one(bar, x, mu, max_outer)
-            factors = bar.chol(x)
-    else:
-        x = _phase_one(bar, np.zeros(c.size), mu, max_outer)
-        factors = bar.chol(x)
+    x = np.array(x0, dtype=float)
+    factors = bar.chol(x)
+    if factors is None:
+        raise SdpError("x0 is not strictly feasible")
 
-    t = t0
+    t = T0
     newton_total = 0
     centered = None  # last iterate Newton actually centered, with its gap
     for outer in range(1, max_outer + 1):
@@ -225,7 +181,7 @@ def solve_sdp(
         newton_total += iters
         value = float(c @ x)
         gap = bar.nu / t
-        target = abs_gap + rel_gap * max(1.0, abs(value))
+        target = rel_gap * max(1.0, abs(value))
         if ok:
             if gap <= target:
                 return SdpResult(x, value, gap, outer, newton_total)
@@ -239,7 +195,7 @@ def solve_sdp(
                 return centered
             raise SdpError(f"Newton stalled with duality gap {gap:.3e}")
         # never push t far past what the gap target requires
-        t = min(t * mu, bar.nu / (0.5 * target))
+        t = min(t * MU, bar.nu / (0.5 * target))
     raise SdpError("barrier method did not reach the requested gap")
 
 

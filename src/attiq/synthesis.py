@@ -5,12 +5,15 @@ linearized estimation error dynamics. Two independent routes compute it:
 
 - a trace-minimizing linear matrix inequality solved with the interior
   point solver in sdp.py, and
-- a Riccati route via the ordered real Schur form of the associated
-  Hamiltonian matrix.
+- the stabilizing solution of the filter Riccati equation (scipy's
+  solve_continuous_are).
 
-The schedule constructor runs both on every octant and refuses to emit
-gains when the routes disagree, so a regression in either one cannot
-ship silently.
+The error plant is rotation-equivariant, skew(R g) = R skew(g) R^T, so the
+schedule constructor solves the LMI once, at octant 0, and rotates that
+gain to the other seven octants. It then solves the Riccati equation on
+every octant's own plant and refuses to emit gains when any octant's
+rotated gain or performance level disagrees with it, so a regression in
+either route or in the symmetry map cannot ship silently.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import schur, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 from .plant import (
     N_OCTANTS,
@@ -30,10 +33,13 @@ from .plant import (
     is_detectable,
     octant_rotation,
 )
-from .sdp import LmiBlock, SdpResult, full_basis, solve_sdp, sym_basis
+from .sdp import LmiBlock, full_basis, solve_sdp, sym_basis
 from .sim import DEFAULT_FIELD, DEFAULT_GRAVITY, NoiseParams
 
 GAIN_FORMAT_VERSION = 1
+
+# relative tolerance of the schedule's LMI/Riccati cross-check
+CROSS_CHECK_TOL = 1e-3
 
 
 class SynthesisError(RuntimeError):
@@ -73,30 +79,21 @@ def h2_norm(acl, bcl, cz) -> float:
 def solve_h2_care(plant: LinearErrorPlant):
     """Riccati route: returns (gain, gamma, error covariance).
 
-    The stabilizing solution comes from the stable invariant subspace of
-    the estimation Hamiltonian, computed with an ordered real Schur form.
+    P is the stabilizing solution of a P + P a^T - P cy^T R^-1 cy P +
+    bw bw^T = 0 with R = dw dw^T, and the gain is L = -P cy^T R^-1.
     """
-    a, bw, cy, dw, cz = plant.a, plant.bw, plant.cy, plant.dw, plant.cz
-    n = plant.n_states
+    a, bw, cy, dw = plant.a, plant.bw, plant.cy, plant.dw
     if not is_detectable(a, cy):
         raise SynthesisError("(a, cy) is not detectable")
     if not is_detectable(a.T, bw.T):
         raise SynthesisError("(a, bw) is not stabilizable")
     r_cov = dw @ dw.T
-    rinv = np.linalg.inv(r_cov)
-    ham = np.block([[a.T, -cy.T @ rinv @ cy], [-bw @ bw.T, -a]])
-    scale = max(np.linalg.norm(ham), 1.0)
-    eigs = np.linalg.eigvals(ham)
-    if np.min(np.abs(eigs.real)) <= 1e-9 * scale:
-        raise SynthesisError("Hamiltonian has eigenvalues on the imaginary axis")
-    _, u, sdim = schur(ham, output="real", sort="lhp")
-    if sdim != n:
-        raise SynthesisError("Hamiltonian stable subspace has wrong dimension")
-    u1, u2 = u[:n, :n], u[n:, :n]
-    p = u2 @ np.linalg.inv(u1)
-    p = 0.5 * (p + p.T)
-    l = -p @ cy.T @ rinv
-    gamma = h2_norm(*closed_loop(plant, l), cz)
+    try:
+        p = solve_continuous_are(a.T, cy.T, bw @ bw.T, r_cov)
+        l = -p @ cy.T @ np.linalg.inv(r_cov)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SynthesisError(f"Riccati solve failed: {exc}") from None
+    gamma = h2_norm(*closed_loop(plant, l), plant.cz)
     return l, gamma, p
 
 
@@ -126,9 +123,7 @@ def default_stabilizer(plant: LinearErrorPlant) -> np.ndarray:
         l0 = np.block([[su / scale, sv / scale], [-su / scale, -sv / scale]])
         if np.linalg.eigvals(a + l0 @ cy).real.max() < 0.0:
             return l0
-    raise SynthesisError(
-        "no default stabilizing gain for this plant; pass l0 explicitly"
-    )
+    raise SynthesisError("no default stabilizing gain for this plant")
 
 
 def _refine_stabilizer(plant: LinearErrorPlant, l0: np.ndarray) -> np.ndarray:
@@ -164,7 +159,7 @@ def _refine_stabilizer(plant: LinearErrorPlant, l0: np.ndarray) -> np.ndarray:
     return l
 
 
-def _feasible_start(plant: LinearErrorPlant, l0: np.ndarray, ex, ew, eq):
+def _feasible_start(plant: LinearErrorPlant, l0: np.ndarray):
     """Strictly feasible (X, W, Q) coordinates from one Lyapunov solve."""
     l0 = _refine_stabilizer(plant, l0)
     acl, bcl = closed_loop(plant, l0)
@@ -184,15 +179,15 @@ def _feasible_start(plant: LinearErrorPlant, l0: np.ndarray, ex, ew, eq):
     return np.concatenate([x_coords, w_mat.ravel(), q_coords])
 
 
-def solve_h2_lmi(plant: LinearErrorPlant, rel_gap: float = 1e-9, l0=None):
+def solve_h2_lmi(plant: LinearErrorPlant):
     """LMI route: returns (gain, gamma, solver result).
 
     Variables are a symmetric certificate X, the transformed gain W = X L,
     and a symmetric bound Q on the output covariance; the objective is
     trace(Q), so gamma = sqrt(trace Q) at the optimum. Process and
     measurement noises enter as separate disturbance columns. The barrier
-    solve starts from a strictly feasible point built around a crude
-    stabilizing gain, so no feasibility phase is needed.
+    solve starts from a strictly feasible point built around the crude
+    stabilizing gain of default_stabilizer.
     """
     a, bw, cy, dw, cz = plant.a, plant.bw, plant.cy, plant.dw, plant.cz
     n = plant.n_states
@@ -241,12 +236,8 @@ def solve_h2_lmi(plant: LinearErrorPlant, rel_gap: float = 1e-9, l0=None):
     for k, e in enumerate(eq):
         c_obj[len(ex) + len(ew) + k] = np.trace(e)
 
-    if l0 is None:
-        l0 = default_stabilizer(plant)
-    x0 = _feasible_start(plant, np.atleast_2d(np.asarray(l0, dtype=float)), ex, ew, eq)
-    result = solve_sdp(
-        c_obj, [LmiBlock(f0_1, c1), LmiBlock(f0_2, c2)], x0=x0, rel_gap=rel_gap
-    )
+    x0 = _feasible_start(plant, default_stabilizer(plant))
+    result = solve_sdp(c_obj, [LmiBlock(f0_1, c1), LmiBlock(f0_2, c2)], x0=x0)
 
     x_mat = np.tensordot(result.x[: len(ex)], ex, axes=1)
     w_mat = np.tensordot(result.x[len(ex) : len(ex) + len(ew)], ew, axes=1)
@@ -273,52 +264,46 @@ class GainSchedule:
     g: tuple
     h: tuple
 
-    def gain(self, octant: int) -> np.ndarray:
-        return self.gains[octant]
-
 
 def synthesize_schedule(
-    noise: NoiseParams,
-    g=DEFAULT_GRAVITY,
-    h=DEFAULT_FIELD,
-    *,
-    rel_gap: float = 1e-9,
-    cross_check_tol: float = 1e-3,
+    noise: NoiseParams, g=DEFAULT_GRAVITY, h=DEFAULT_FIELD
 ) -> GainSchedule:
-    """Synthesize all octant gains, cross-checking the two routes.
+    """Synthesize all octant gains from one LMI solve plus symmetry.
 
-    Raises SynthesisError when the LMI and Riccati gains (or their
-    performance levels) disagree beyond cross_check_tol, or when any
+    Octant k's gain is T_k L0 T_k^T with T_k = blkdiag(R_k, R_k), where L0
+    is the LMI gain at octant 0 and R_k the octant's center rotation; every
+    octant shares octant 0's performance level. Raises SynthesisError when
+    an octant's gain or performance level disagrees with the Riccati
+    solution of that octant's own plant beyond CROSS_CHECK_TOL, or when any
     closed loop fails to be Hurwitz.
     """
+    plants = [build_plant(noise, octant, g, h) for octant in range(N_OCTANTS)]
+    l0, gamma0, _ = solve_h2_lmi(plants[0])
     gains = np.zeros((N_OCTANTS, 6, 6))
-    gammas = np.zeros(N_OCTANTS)
-    for octant in range(N_OCTANTS):
-        plant = build_plant(noise, octant, g, h)
-        l_lmi, gamma_lmi, _ = solve_h2_lmi(plant, rel_gap=rel_gap)
+    for octant, plant in enumerate(plants):
+        l = gain_symmetry_transform(l0, octant_rotation(octant))
         l_care, gamma_care, _ = solve_h2_care(plant)
-        mismatch = np.linalg.norm(l_lmi - l_care) / np.linalg.norm(l_care)
-        if mismatch > cross_check_tol:
+        mismatch = np.linalg.norm(l - l_care) / np.linalg.norm(l_care)
+        if mismatch > CROSS_CHECK_TOL:
             raise SynthesisError(
                 f"octant {octant}: LMI and Riccati gains disagree "
                 f"(relative mismatch {mismatch:.3e})"
             )
-        if abs(gamma_lmi - gamma_care) > cross_check_tol * gamma_care:
+        if abs(gamma0 - gamma_care) > CROSS_CHECK_TOL * gamma_care:
             raise SynthesisError(
                 f"octant {octant}: performance levels disagree "
-                f"({gamma_lmi:.6e} vs {gamma_care:.6e})"
+                f"({gamma0:.6e} vs {gamma_care:.6e})"
             )
-        gamma_direct = h2_norm(*closed_loop(plant, l_lmi), plant.cz)
-        if abs(gamma_lmi - gamma_direct) > cross_check_tol * gamma_direct:
+        gamma_direct = h2_norm(*closed_loop(plant, l), plant.cz)
+        if abs(gamma0 - gamma_direct) > CROSS_CHECK_TOL * gamma_direct:
             raise SynthesisError(
-                f"octant {octant}: bound {gamma_lmi:.6e} does not match the "
+                f"octant {octant}: bound {gamma0:.6e} does not match the "
                 f"achieved closed-loop norm {gamma_direct:.6e}"
             )
-        gains[octant] = l_lmi
-        gammas[octant] = gamma_lmi
+        gains[octant] = l
     return GainSchedule(
         gains=gains,
-        gammas=gammas,
+        gammas=np.full(N_OCTANTS, gamma0),
         noise=noise,
         g=tuple(float(v) for v in g),
         h=tuple(float(v) for v in h),

@@ -268,10 +268,22 @@ class TestRunFilter:
             run_filter(ds, "h2", schedule=schedule, initial_state=bad)
 
     def test_first_sample_must_be_finite(self, schedule):
-        ds = simulate_scenario(static_config(1, duration=1.0))
-        ds.a_m[0] = [np.nan, 0.0, 0.0]
-        with pytest.raises(ValueError, match="first sample"):
-            run_filter(ds, "h2", schedule=schedule)
+        for channel in ("a_m", "m_m"):
+            ds = simulate_scenario(static_config(1, duration=1.0))
+            getattr(ds, channel)[0] = [np.nan, 0.0, 0.0]
+            for method in ("h2", "ekf"):
+                with pytest.raises(ValueError, match="first sample"):
+                    run_filter(ds, method, schedule=schedule)
+
+    @pytest.mark.parametrize("method", ["h2", "ekf"])
+    def test_non_finite_first_rate_holds_first_step(self, method, schedule):
+        # initialization reads only a_m[0] and m_m[0]; w_m[0] spans step 1
+        ds = simulate_scenario(ScenarioConfig.for_case("II", seed=1, duration=1.0))
+        ds.w_m[0] = np.nan
+        run = run_filter(ds, method, schedule=schedule)
+        assert np.array_equal(run.q_est[1], run.q_est[0])
+        assert np.array_equal(run.skipped, np.arange(len(ds.t)) == 1)
+        assert np.all(np.isfinite(run.q_est)) and np.all(np.isfinite(run.b_est))
 
     @pytest.mark.parametrize("method", ["h2", "ekf"])
     def test_dropout_holds_state_and_flags(self, method, schedule):

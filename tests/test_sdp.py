@@ -6,7 +6,6 @@ from attiq.sdp import (
     LmiBlock,
     _Barrier,
     SdpError,
-    SdpInfeasibleError,
     full_basis,
     solve_sdp,
     sym_basis,
@@ -20,7 +19,7 @@ def scalar_block(f0, coeffs):
 class TestScalarProblems:
     def test_minimize_x_above_one(self):
         # minimize x subject to 1 - x < 0
-        res = solve_sdp([1.0], [scalar_block(1.0, [-1.0])])
+        res = solve_sdp([1.0], [scalar_block(1.0, [-1.0])], x0=[2.0])
         assert res.value == pytest.approx(1.0, abs=1e-8)
         assert res.status == "optimal"
         assert res.gap <= 1e-9
@@ -33,16 +32,14 @@ class TestScalarProblems:
             scalar_block(0.0, [0.0, -1.0]),  # x2 > 0
             scalar_block(-1.0, [0.0, 1.0]),  # x2 < 1
         ]
-        res = solve_sdp([1.0, -1.0], blocks)
+        res = solve_sdp([1.0, -1.0], blocks, x0=[0.5, 0.5])
         np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-8)
 
-    def test_infeasible_raises(self):
-        blocks = [
-            scalar_block(1.0, [-1.0]),  # x > 1
-            scalar_block(0.0, [1.0]),  # x < 0
-        ]
-        with pytest.raises(SdpInfeasibleError):
-            solve_sdp([1.0], blocks)
+    def test_start_not_strictly_feasible_raises(self):
+        # x > 1: the boundary point and an outside point are both refused
+        for x0 in ([1.0], [-3.0]):
+            with pytest.raises(SdpError, match="strictly feasible"):
+                solve_sdp([1.0], [scalar_block(1.0, [-1.0])], x0=x0)
 
 
 class TestEigenvalueBound:
@@ -50,7 +47,8 @@ class TestEigenvalueBound:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5))
         a = 0.5 * (a + a.T)
-        res = solve_sdp([1.0], [LmiBlock(a, -np.eye(5)[None])])
+        x0 = [np.linalg.eigvalsh(a).max() + 1.0]
+        res = solve_sdp([1.0], [LmiBlock(a, -np.eye(5)[None])], x0=x0)
         assert res.value == pytest.approx(np.linalg.eigvalsh(a).max(), rel=1e-8)
 
 
@@ -63,7 +61,8 @@ class TestSpectralNorm:
         f0 = np.zeros((n, n))
         f0[:3, 3:] = -a
         f0[3:, :3] = -a.T
-        res = solve_sdp([1.0], [LmiBlock(f0, -np.eye(n)[None])])
+        x0 = [np.linalg.eigvalsh(f0).max() + 1.0]
+        res = solve_sdp([1.0], [LmiBlock(f0, -np.eye(n)[None])], x0=x0)
         assert res.value == pytest.approx(svdvals(a)[0], rel=1e-8)
 
 
@@ -81,8 +80,10 @@ class TestLyapunovTrace:
             LmiBlock(np.zeros((4, 4)), -basis),
         ]
         c = np.array([np.trace(e) for e in basis])
-        res = solve_sdp(c, blocks)
         p_star = solve_continuous_lyapunov(a.T, -np.eye(4))
+        # P = 2 P* gives A^T P + P A + I = -I
+        x0 = [2.0 * p_star[i, j] for i in range(4) for j in range(i, 4)]
+        res = solve_sdp(c, blocks, x0=x0)
         assert res.value == pytest.approx(np.trace(p_star), rel=1e-6)
         p = np.tensordot(res.x, basis, axes=1)
         assert np.linalg.eigvalsh(p).min() > 0.0
@@ -144,28 +145,24 @@ class TestSolverBehavior:
         a = rng.standard_normal((4, 4))
         a = 0.5 * (a + a.T)
         block = LmiBlock(a, -np.eye(4)[None])
-        r1 = solve_sdp([1.0], [block])
-        r2 = solve_sdp([1.0], [block])
+        x0 = [np.linalg.eigvalsh(a).max() + 1.0]
+        r1 = solve_sdp([1.0], [block], x0=x0)
+        r2 = solve_sdp([1.0], [block], x0=x0)
         np.testing.assert_array_equal(r1.x, r2.x)
 
     def test_feasible_warm_start(self):
         block = scalar_block(1.0, [-1.0])
-        cold = solve_sdp([1.0], [block])
+        cold = solve_sdp([1.0], [block], x0=[2.0])
         warm = solve_sdp([1.0], [block], x0=[5.0])
         assert warm.value == pytest.approx(cold.value, abs=1e-8)
-
-    def test_infeasible_warm_start_recovers(self):
-        block = scalar_block(1.0, [-1.0])
-        res = solve_sdp([1.0], [block], x0=[-3.0])
-        assert res.value == pytest.approx(1.0, abs=1e-8)
 
     def test_unbounded_raises(self):
         # maximize x with only x > 1 has no finite optimum
         with pytest.raises(SdpError):
-            solve_sdp([-1.0], [scalar_block(1.0, [-1.0])], max_outer=25)
+            solve_sdp([-1.0], [scalar_block(1.0, [-1.0])], x0=[2.0], max_outer=25)
 
     def test_gap_certificate_reported(self):
-        res = solve_sdp([1.0], [scalar_block(1.0, [-1.0])], rel_gap=1e-6)
+        res = solve_sdp([1.0], [scalar_block(1.0, [-1.0])], x0=[2.0], rel_gap=1e-6)
         assert res.gap <= 1e-6
         assert res.value - 1.0 <= 2e-6
 
@@ -181,11 +178,11 @@ class TestValidation:
 
     def test_rejects_objective_length_mismatch(self):
         with pytest.raises(ValueError):
-            solve_sdp([1.0, 2.0], [scalar_block(1.0, [-1.0])])
+            solve_sdp([1.0, 2.0], [scalar_block(1.0, [-1.0])], x0=[2.0, 2.0])
 
     def test_rejects_empty_blocks(self):
         with pytest.raises(ValueError):
-            solve_sdp([1.0], [])
+            solve_sdp([1.0], [], x0=[2.0])
 
 
 class TestBases:

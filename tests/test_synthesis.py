@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
+from attiq import synthesis
 from attiq.plant import N_OCTANTS, LinearErrorPlant, build_plant, closed_loop, octant_rotation
+from attiq.quat import dcm_of, quat_of_euler
 from attiq.sim import NoiseParams
 from attiq.synthesis import (
     GainFileError,
     SynthesisError,
+    default_design_noise,
     default_stabilizer,
     gain_symmetry_transform,
     h2_norm,
@@ -72,11 +75,23 @@ class TestCareAgainstScipy:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_riccati_solution_matches(self, seed):
         plant = random_plant(seed)
-        _, _, p = solve_h2_care(plant)
-        p_ref = solve_continuous_are(
-            plant.a.T, plant.cy.T, plant.bw @ plant.bw.T, plant.dw @ plant.dw.T
-        )
+        l, _, p = solve_h2_care(plant)
+        a, bw, cy, dw = plant.a, plant.bw, plant.cy, plant.dw
+        p_ref = solve_continuous_are(a.T, cy.T, bw @ bw.T, dw @ dw.T)
         np.testing.assert_allclose(p, p_ref, rtol=1e-8, atol=1e-12)
+        # P solves the filter Riccati equation and L stabilizes the estimator
+        rinv = np.linalg.inv(dw @ dw.T)
+        resid = a @ p + p @ a.T - p @ cy.T @ rinv @ cy @ p + bw @ bw.T
+        assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(p)
+        assert np.linalg.eigvals(a + l @ cy).real.max() < 0.0
+
+    def test_undetectable_plant_raises_synthesis_error(self):
+        # the unstable mode is invisible to the measurement
+        plant = LinearErrorPlant(
+            a=[[1.0, 0.0], [0.0, -1.0]], bw=np.eye(2), cy=[[0.0, 1.0]], dw=[[1.0]], cz=np.eye(2)
+        )
+        with pytest.raises(SynthesisError, match="detectable"):
+            solve_h2_care(plant)
 
 
 class TestRouteAgreement:
@@ -159,6 +174,35 @@ class TestSchedule:
         plant = build_plant(noisier, 0)
         _, gamma_noisy, _ = solve_h2_care(plant)
         assert gamma_noisy > schedule.gammas[0]
+
+
+class TestScheduleCrossCheck:
+    def test_one_lmi_solve_and_a_riccati_solve_per_octant(self, monkeypatch):
+        calls = {"lmi": 0, "care": 0}
+
+        def counted(name, fn):
+            def wrapper(plant):
+                calls[name] += 1
+                return fn(plant)
+
+            return wrapper
+
+        monkeypatch.setattr(synthesis, "solve_h2_lmi", counted("lmi", solve_h2_lmi))
+        monkeypatch.setattr(synthesis, "solve_h2_care", counted("care", solve_h2_care))
+        synthesize_schedule(default_design_noise(150.0))
+        assert calls == {"lmi": 1, "care": N_OCTANTS}
+
+    def test_corrupted_octant_is_refused_and_named(self, monkeypatch):
+        # octant 5's gain is rotated with a center that is off by 1 degree
+        tilt = dcm_of(quat_of_euler(np.radians(1.0), 0.0, 0.0))
+
+        def corrupted_rotation(octant):
+            r = octant_rotation(octant)
+            return r @ tilt if octant == 5 else r
+
+        monkeypatch.setattr(synthesis, "octant_rotation", corrupted_rotation)
+        with pytest.raises(SynthesisError, match="octant 5"):
+            synthesize_schedule(default_design_noise(150.0))
 
 
 class TestGainFile:

@@ -34,7 +34,6 @@ from .dataset import (
     write_dataset,
 )
 from .filters import run_filter
-from .plant import N_OCTANTS, build_plant
 from .report import (
     INTERNAL_NAMES,
     PUBLIC_NAMES,
@@ -50,7 +49,6 @@ from .synthesis import (
     default_design_noise,
     load_gains,
     save_gains,
-    solve_h2_care,
     synthesize_schedule,
 )
 
@@ -74,38 +72,23 @@ def load_scenario(case: str, seed: int | None, rate: float | None, duration: flo
 
     seed/rate/duration, when given, replace the corresponding config fields.
     A rate override on the default path also rescales the rate-dependent
-    noise intensities; an explicit config file keeps its pinned noise.
+    noise intensities; an explicit config file keeps its pinned noise. An
+    invalid override raises ValueError.
     """
+    given = {"seed": seed, "sample_rate": rate, "duration": duration}
+    overrides = {key: value for key, value in given.items() if value is not None}
     path = config_dir() / f"case_{case}.json"
-    if path.exists():
-        try:
-            cfg = config_from_dict(json.loads(path.read_text()))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: invalid JSON: {exc}") from None
-        except (DatasetFormatError, ValueError) as exc:
-            raise CliError(f"{path}: {exc}") from None
-        if cfg.case != case:
-            raise CliError(f"{path}: config is for case {cfg.case}, not {case}")
-        overrides = {}
-        if seed is not None:
-            overrides["seed"] = seed
-        if rate is not None:
-            overrides["sample_rate"] = rate
-        if duration is not None:
-            overrides["duration"] = duration
-        try:
-            return replace(cfg, **overrides) if overrides else cfg
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    overrides = {}
-    if rate is not None:
-        overrides["sample_rate"] = rate
-    if duration is not None:
-        overrides["duration"] = duration
+    if not path.exists():
+        return ScenarioConfig.for_case(case, **{"seed": 1, **overrides})
     try:
-        return ScenarioConfig.for_case(case, seed=seed if seed is not None else 1, **overrides)
+        cfg = config_from_dict(json.loads(path.read_text()))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: invalid JSON: {exc}") from None
     except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"{path}: {exc}") from None
+    if cfg.case != case:
+        raise CliError(f"{path}: config is for case {cfg.case}, not {case}")
+    return replace(cfg, **overrides)
 
 
 def cmd_gen(args) -> int:
@@ -161,11 +144,8 @@ def cmd_synth(args) -> int:
         raise CliError(str(exc)) from None
 
     print("octant  gamma      care_gain_resid")
-    for octant in range(N_OCTANTS):
-        plant = build_plant(schedule.noise, octant, g=schedule.g, h=schedule.h)
-        l_care, _, _ = solve_h2_care(plant)
-        resid = np.linalg.norm(schedule.gains[octant] - l_care) / np.linalg.norm(l_care)
-        print(f"{octant:>6d}  {schedule.gammas[octant]:<9.6f}  {resid:.3e}")
+    for octant, (gamma, resid) in enumerate(zip(schedule.gammas, schedule.care_mismatch)):
+        print(f"{octant:>6d}  {gamma:<9.6f}  {resid:.3e}")
 
     out = Path(args.out) if args.out else Path("gains.json")
     save_gains(schedule, out)
@@ -241,8 +221,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     if args.case is not None and args.case not in CASES:
         raise CliError(f"unknown case {args.case!r}; expected one of {CASES}")
-    rate = args.rate if args.rate is not None else verify_mod.DEFAULT_RATE
-    results, ok = verify_mod.run_criteria(case=args.case, rate=rate, echo=print)
+    results, ok = verify_mod.run_criteria(case=args.case, echo=print)
     if not results:
         print(f"no criteria exercise case {args.case}")
         return 0
@@ -296,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the acceptance criteria")
     p_verify.add_argument("--case", default=None, help="only criteria touching this case")
-    p_verify.add_argument("--rate", type=float, default=None, help="sample rate, Hz")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

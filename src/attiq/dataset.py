@@ -45,6 +45,50 @@ def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".json")
 
 
+NOISE_KEYS = ("n_w", "n_b", "n_a", "n_m")
+
+
+def sensor_model_to_dict(noise: NoiseParams, g, h) -> dict:
+    """The noise block and reference vectors as sidecars and gain files hold them."""
+    block = {key: getattr(noise, key) for key in NOISE_KEYS}
+    block["b0"] = list(noise.b0)
+    return {"noise": block, "g": list(g), "h": list(h)}
+
+
+def sensor_model_from_dict(data: dict, error: type[ValueError]):
+    """(noise, g, h) from the keys sensor_model_to_dict writes.
+
+    A malformed noise block or reference vector raises error, the format
+    error of the file being read.
+    """
+    block = data["noise"]
+    if not isinstance(block, dict):
+        raise error("noise must be a JSON object")
+    unknown = sorted(set(block) - {*NOISE_KEYS, "b0"})
+    if unknown:
+        raise error(f"unknown noise keys: {', '.join(unknown)}")
+    missing = [key for key in NOISE_KEYS if key not in block]
+    if missing:
+        raise error(f"missing noise keys: {', '.join(missing)}")
+    try:
+        noise = NoiseParams(
+            **{key: float(block[key]) for key in NOISE_KEYS},
+            b0=tuple(float(v) for v in block.get("b0", (0.0, 0.0, 0.0))),
+        )
+    except (TypeError, ValueError) as exc:
+        raise error(f"invalid noise block: {exc}") from None
+    vectors = []
+    for key in ("g", "h"):
+        try:
+            vector = tuple(float(v) for v in data[key])
+        except (TypeError, ValueError):
+            vector = ()
+        if len(vector) != 3:
+            raise error(f"{key} must be a list of 3 numbers, got {data[key]!r}")
+        vectors.append(vector)
+    return noise, *vectors
+
+
 def config_to_dict(config: ScenarioConfig) -> dict:
     return {
         "case": config.case,
@@ -52,15 +96,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         "duration": config.duration,
         "sample_rate": config.sample_rate,
         "angular_rate": config.angular_rate,
-        "noise": {
-            "n_w": config.noise.n_w,
-            "n_b": config.noise.n_b,
-            "n_a": config.noise.n_a,
-            "n_m": config.noise.n_m,
-            "b0": list(config.noise.b0),
-        },
-        "g": list(config.g),
-        "h": list(config.h),
+        **sensor_model_to_dict(config.noise, config.g, config.h),
     }
 
 
@@ -72,27 +108,20 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     missing = sorted(allowed - set(data))
     if missing:
         raise DatasetFormatError(f"missing config keys: {', '.join(missing)}")
-    noise_data = dict(data["noise"])
-    unknown = sorted(set(noise_data) - {"n_w", "n_b", "n_a", "n_m", "b0"})
-    if unknown:
-        raise DatasetFormatError(f"unknown noise keys: {', '.join(unknown)}")
-    noise = NoiseParams(
-        n_w=float(noise_data["n_w"]),
-        n_b=float(noise_data["n_b"]),
-        n_a=float(noise_data["n_a"]),
-        n_m=float(noise_data["n_m"]),
-        b0=tuple(float(v) for v in noise_data.get("b0", (0.0, 0.0, 0.0))),
-    )
-    return ScenarioConfig(
-        case=data["case"],
-        seed=int(data["seed"]),
-        duration=float(data["duration"]),
-        sample_rate=float(data["sample_rate"]),
-        angular_rate=float(data["angular_rate"]),
-        noise=noise,
-        g=tuple(float(v) for v in data["g"]),
-        h=tuple(float(v) for v in data["h"]),
-    )
+    noise, g, h = sensor_model_from_dict(data, DatasetFormatError)
+    try:
+        return ScenarioConfig(
+            case=data["case"],
+            seed=int(data["seed"]),
+            duration=float(data["duration"]),
+            sample_rate=float(data["sample_rate"]),
+            angular_rate=float(data["angular_rate"]),
+            noise=noise,
+            g=g,
+            h=h,
+        )
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(str(exc)) from None
 
 
 def write_dataset(dataset: Dataset, path) -> Path:

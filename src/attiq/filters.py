@@ -35,6 +35,9 @@ from .sim import Dataset, NoiseParams
 from .synthesis import GainSchedule
 
 HYSTERESIS = 0.05  # rad, per-axis octant switching band
+# initial EKF error standard deviations: attitude (rad) and gyro bias (rad/s)
+INITIAL_ATT_STD = 0.1
+INITIAL_BIAS_STD = 0.01
 
 _TRIPLE_TO_OCTANT = {
     tuple(angle > 1.0 for angle in triple): idx
@@ -77,7 +80,7 @@ def triad_attitude(a_m, m_m, g, h) -> np.ndarray:
     return quat_of_dcm(body @ inertial.T)
 
 
-def select_octant(q, prev: int | None = None, hysteresis: float = HYSTERESIS) -> int:
+def select_octant(q, prev: int | None = None) -> int:
     """Scheduling octant of an attitude, with per-axis switching hysteresis.
 
     Each roll/pitch/yaw angle snaps to the 0 or pi half of its circle; a
@@ -97,9 +100,9 @@ def select_octant(q, prev: int | None = None, hysteresis: float = HYSTERESIS) ->
     for angle, was_flipped in zip(angles, flipped_prev):
         border = np.pi / 2.0
         if was_flipped:
-            flipped.append(abs(angle) >= border - hysteresis)
+            flipped.append(abs(angle) >= border - HYSTERESIS)
         else:
-            flipped.append(abs(angle) > border + (hysteresis if prev is not None else 0.0))
+            flipped.append(abs(angle) > border + (HYSTERESIS if prev is not None else 0.0))
     return _TRIPLE_TO_OCTANT[tuple(flipped)]
 
 
@@ -152,14 +155,6 @@ def h2_step(
     return H2State(q=q_new, b=b_new, octant=pred.octant)
 
 
-def _measurement_jacobian(q, g, h) -> np.ndarray:
-    c = dcm_of(q)
-    jac = np.zeros((6, 6))
-    jac[:3, :3] = skew(c @ np.asarray(g, float))
-    jac[3:, :3] = skew(c @ np.asarray(h, float))
-    return jac
-
-
 def ekf_propagate(state: EkfState, w_m: np.ndarray, noise: NoiseParams, dt: float) -> EkfState:
     """Attitude and covariance propagation over one sample interval; alone,
     it is the step of a sample without vector measurements."""
@@ -194,14 +189,17 @@ def ekf_step(
     pred = ekf_propagate(state, w_m, noise, dt)
     q_pred, p_pred = pred.q, pred.p
 
-    jac = _measurement_jacobian(q_pred, g, h)
+    y_pred = predict_measurement(q_pred, g, h)
+    jac = np.zeros((6, 6))
+    jac[:3, :3] = skew(y_pred[:3])
+    jac[3:, :3] = skew(y_pred[3:])
     r_cov = np.zeros((6, 6))
     r_cov[:3, :3] = noise.n_a**2 * np.eye(3)
     r_cov[3:, 3:] = noise.n_m**2 * np.eye(3)
     innovation_cov = jac @ p_pred @ jac.T + r_cov
     gain = p_pred @ jac.T @ np.linalg.inv(innovation_cov)
 
-    resid = np.concatenate([a_m, m_m]) - predict_measurement(q_pred, g, h)
+    resid = np.concatenate([a_m, m_m]) - y_pred
     dx = gain @ resid
 
     ikh = np.eye(6) - gain @ jac
@@ -217,18 +215,11 @@ def initial_h2_state(a_m, m_m, g, h) -> H2State:
     return H2State(q=q0, b=np.zeros(3), octant=select_octant(q0))
 
 
-def initial_ekf_state(
-    a_m,
-    m_m,
-    g,
-    h,
-    att_std: float = 0.1,
-    bias_std: float = 0.01,
-) -> EkfState:
+def initial_ekf_state(a_m, m_m, g, h) -> EkfState:
     q0 = triad_attitude(a_m, m_m, g, h)
     p0 = np.zeros((6, 6))
-    p0[:3, :3] = att_std**2 * np.eye(3)
-    p0[3:, 3:] = bias_std**2 * np.eye(3)
+    p0[:3, :3] = INITIAL_ATT_STD**2 * np.eye(3)
+    p0[3:, 3:] = INITIAL_BIAS_STD**2 * np.eye(3)
     return EkfState(q=q0, b=np.zeros(3), p=p0)
 
 

@@ -1,21 +1,23 @@
-"""Benchmark reports: accuracy/timing tables for filter comparison runs.
+"""Benchmark reports: the run report document, its text tables, and traces.
 
-A report aggregates one dataset and one or more filters, each possibly run
-several times for timing statistics (estimates are deterministic across
-repetitions; wall-clock times are not). Serialized reports carry a schema
-version and validate against schemas/report.schema.json.
+build_report returns the document that report.json holds: a dict that
+validates against schemas/report.schema.json, with one entry per filter
+scored by filters.evaluate_run under the filter's public name, the per-case
+accuracy checks and the extended_h2/ekf median step-time ratio. save_report
+writes it and format_report renders it. A filter may run several times for
+timing statistics: estimates are deterministic across repetitions, wall-clock
+times are not.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import config_to_dict
-from .filters import FilterRun, ScenarioResult, attitude_errors, evaluate_run
+from .filters import FilterRun, attitude_errors, evaluate_run
 from .sim import Dataset
 
 REPORT_SCHEMA_VERSION = 1
@@ -35,36 +37,7 @@ CASE_CHECKS = {
 TIMING_RATIO_THRESHOLD = 0.75  # extended_h2 / ekf median step time
 
 
-@dataclass
-class ComparisonReport:
-    """Versioned summary of a benchmark run on one dataset."""
-
-    config: dict
-    n_samples: int
-    repetitions: int
-    filters: list[ScenarioResult]  # methods under their public names
-    checks: list[dict] = field(default_factory=list)
-    timing_ratio_h2_over_ekf: float | None = None
-    schema_version: int = REPORT_SCHEMA_VERSION
-
-    def filter(self, method: str) -> ScenarioResult:
-        method = PUBLIC_NAMES.get(method, method)
-        for f in self.filters:
-            if f.method == method:
-                return f
-        raise KeyError(f"report has no {method!r} entry")
-
-
-def summarize_filter(dataset: Dataset, runs: list[FilterRun]) -> ScenarioResult:
-    """evaluate_run under the filter's public name: accuracy from the first
-    run, timing pooled over all repetitions."""
-    if not runs:
-        raise ValueError("at least one run is required")
-    result = evaluate_run(dataset, *runs)
-    return replace(result, method=PUBLIC_NAMES[result.method])
-
-
-def _run_checks(case: str, by_method: dict[str, ScenarioResult], ratio) -> list[dict]:
+def _run_checks(case: str, by_method: dict[str, dict], ratio) -> list[dict]:
     checks = []
 
     def add(name, measured, threshold):
@@ -81,103 +54,92 @@ def _run_checks(case: str, by_method: dict[str, ScenarioResult], ratio) -> list[
         if method not in by_method:
             continue
         f = by_method[method]
-        value = f.rms_axis_deg[1] if metric == "pitch_rms_deg" else f.rms_total_deg
+        value = f["rms_axis_deg"][1] if metric == "pitch_rms_deg" else f["rms_total_deg"]
         add(f"case_{case}_{method}_{metric}", value, threshold)
     if ratio is not None:
         add("median_step_ratio_h2_over_ekf", ratio, TIMING_RATIO_THRESHOLD)
     return checks
 
 
-def build_report(dataset: Dataset, runs_by_method: dict[str, list[FilterRun]]) -> ComparisonReport:
-    """Aggregate filter runs over one dataset into a versioned report.
+def build_report(dataset: Dataset, runs_by_method: dict[str, list[FilterRun]]) -> dict:
+    """The report document of filter runs over one dataset.
 
-    runs_by_method maps internal or public filter names to repetition lists.
+    runs_by_method maps filter names to repetition lists. Accuracy comes
+    from each filter's first run, step timing is pooled over all of them.
     """
     filters = []
-    by_public: dict[str, ScenarioResult] = {}
-    for name, runs in runs_by_method.items():
-        summary = summarize_filter(dataset, runs)
-        filters.append(summary)
-        by_public[summary.method] = summary
-    reps = max(len(r) for r in runs_by_method.values())
-    ratio = None
-    if "extended_h2" in by_public and "ekf" in by_public:
-        ratio = by_public["extended_h2"].median_step_ns / by_public["ekf"].median_step_ns
-    case = dataset.config.case
-    return ComparisonReport(
-        config=config_to_dict(dataset.config),
-        n_samples=len(dataset.t),
-        repetitions=reps,
-        filters=filters,
-        checks=_run_checks(case, by_public, ratio),
-        timing_ratio_h2_over_ekf=ratio,
-    )
-
-
-def report_to_dict(report: ComparisonReport) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        "config": report.config,
-        "n_samples": report.n_samples,
-        "repetitions": report.repetitions,
-        "filters": [
+    for runs in runs_by_method.values():
+        if not runs:
+            raise ValueError("at least one run is required")
+        result = evaluate_run(dataset, *runs)
+        filters.append(
             {
-                "method": f.method,
-                "rms_axis_deg": [float(v) for v in f.rms_axis_deg],
-                "rms_total_deg": f.rms_total_deg,
-                "max_total_deg": f.max_total_deg,
-                "rms_bias": [float(v) for v in f.rms_bias],
-                "median_step_ns": f.median_step_ns,
-                "mean_step_ns": f.mean_step_ns,
-                "std_step_ns": f.std_step_ns,
-                "n_skipped": f.n_skipped,
+                "method": PUBLIC_NAMES[result.method],
+                "rms_axis_deg": result.rms_axis_deg.tolist(),
+                "rms_total_deg": result.rms_total_deg,
+                "max_total_deg": result.max_total_deg,
+                "rms_bias": result.rms_bias.tolist(),
+                "median_step_ns": result.median_step_ns,
+                "mean_step_ns": result.mean_step_ns,
+                "std_step_ns": result.std_step_ns,
+                "n_skipped": result.n_skipped,
             }
-            for f in report.filters
-        ],
-        "checks": report.checks,
-        "timing_ratio_h2_over_ekf": report.timing_ratio_h2_over_ekf,
+        )
+    by_method = {f["method"]: f for f in filters}
+    ratio = None
+    if "extended_h2" in by_method and "ekf" in by_method:
+        ratio = by_method["extended_h2"]["median_step_ns"] / by_method["ekf"]["median_step_ns"]
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "config": config_to_dict(dataset.config),
+        "n_samples": len(dataset.t),
+        "repetitions": max(len(runs) for runs in runs_by_method.values()),
+        "filters": filters,
+        "checks": _run_checks(dataset.config.case, by_method, ratio),
+        "timing_ratio_h2_over_ekf": ratio,
     }
 
 
-def save_report(report: ComparisonReport, path) -> Path:
+def save_report(report: dict, path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def format_report(report: ComparisonReport) -> str:
+def format_report(report: dict) -> str:
     """Aligned text tables: RMS per axis, then step timing."""
-    case = report.config["case"]
+    config = report["config"]
     lines = [
-        f"case {case}  seed {report.config['seed']}  "
-        f"{report.n_samples} samples at {report.config['sample_rate']:g} Hz  "
-        f"repetitions {report.repetitions}",
+        f"case {config['case']}  seed {config['seed']}  "
+        f"{report['n_samples']} samples at {config['sample_rate']:g} Hz  "
+        f"repetitions {report['repetitions']}",
         "",
         f"{'filter':<12} {'roll(deg)':>10} {'pitch(deg)':>10} {'yaw(deg)':>10} "
         f"{'total(deg)':>10} {'max(deg)':>10}",
     ]
-    for f in report.filters:
-        r, p, y = f.rms_axis_deg
+    for f in report["filters"]:
+        r, p, y = f["rms_axis_deg"]
         lines.append(
-            f"{f.method:<12} {r:>10.4f} {p:>10.4f} {y:>10.4f} "
-            f"{f.rms_total_deg:>10.4f} {f.max_total_deg:>10.4f}"
+            f"{f['method']:<12} {r:>10.4f} {p:>10.4f} {y:>10.4f} "
+            f"{f['rms_total_deg']:>10.4f} {f['max_total_deg']:>10.4f}"
         )
     lines += [
         "",
         f"{'filter':<12} {'median(us)':>10} {'mean(us)':>10} {'std(us)':>10} {'skipped':>8}",
     ]
-    for f in report.filters:
+    for f in report["filters"]:
         lines.append(
-            f"{f.method:<12} {f.median_step_ns / 1e3:>10.1f} {f.mean_step_ns / 1e3:>10.1f} "
-            f"{f.std_step_ns / 1e3:>10.1f} {f.n_skipped:>8d}"
+            f"{f['method']:<12} {f['median_step_ns'] / 1e3:>10.1f} "
+            f"{f['mean_step_ns'] / 1e3:>10.1f} {f['std_step_ns'] / 1e3:>10.1f} "
+            f"{f['n_skipped']:>8d}"
         )
-    if report.timing_ratio_h2_over_ekf is not None:
-        ratio = report.timing_ratio_h2_over_ekf
+    ratio = report["timing_ratio_h2_over_ekf"]
+    if ratio is not None:
         lines.append(
             f"median step ratio extended_h2/ekf: {ratio:.3f}"
             f" (ekf/extended_h2: {1.0 / ratio:.2f}x)"
         )
-    for check in report.checks:
+    for check in report["checks"]:
         verdict = "pass" if check["passed"] else "FAIL"
         lines.append(
             f"[{verdict}] {check['name']}: {check['measured']:.4f} "

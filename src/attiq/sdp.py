@@ -64,7 +64,6 @@ class SdpResult:
     gap: float  # certified duality-gap bound nu / t
     outer_iterations: int
     newton_iterations: int
-    status: str = "optimal"
 
 
 class _Barrier:
@@ -152,13 +151,12 @@ def solve_sdp(
 ) -> SdpResult:
     """Minimize c^T x subject to every block being negative definite.
 
-    blocks may be LmiBlock instances or (f0, coeffs) pairs. The barrier
-    path starts at x0, which must be strictly feasible. Raises SdpError
-    when it is not, and when the central path cannot be followed to a
-    duality gap of rel_gap * max(1, |c^T x|).
+    blocks is a list of LmiBlock. The barrier path starts at x0, which must
+    be strictly feasible. Raises SdpError when it is not, and when the
+    central path cannot be followed to a duality gap of
+    rel_gap * max(1, |c^T x|).
     """
     c = np.asarray(c, dtype=float)
-    blocks = [b if isinstance(b, LmiBlock) else LmiBlock(*b) for b in blocks]
     if not blocks:
         raise ValueError("at least one LMI block is required")
     for b in blocks:

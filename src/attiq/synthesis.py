@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
+from .dataset import sensor_model_from_dict, sensor_model_to_dict
 from .plant import (
     N_OCTANTS,
     LinearErrorPlant,
@@ -95,6 +96,25 @@ def solve_h2_care(plant: LinearErrorPlant):
         raise SynthesisError(f"Riccati solve failed: {exc}") from None
     gamma = h2_norm(*closed_loop(plant, l), plant.cz)
     return l, gamma, p
+
+
+def care_cross_check(plant: LinearErrorPlant, l: np.ndarray, gamma: float):
+    """Compare a gain and its performance level with the Riccati route.
+
+    Returns the relative mismatch of l against the Riccati gain of the
+    plant, of gamma against the Riccati gamma, and of gamma against the H2
+    norm that l attains (inf when a + l cy is not Hurwitz), then the
+    spectral abscissa of a + l cy.
+    """
+    l_care, gamma_care, _ = solve_h2_care(plant)
+    abscissa = float(np.linalg.eigvals(plant.a + l @ plant.cy).real.max())
+    attained = h2_norm(*closed_loop(plant, l), plant.cz) if abscissa < 0.0 else np.inf
+    return (
+        float(np.linalg.norm(l - l_care) / np.linalg.norm(l_care)),
+        abs(gamma - gamma_care) / gamma_care,
+        abs(gamma - attained) / attained,
+        abscissa,
+    )
 
 
 def default_stabilizer(plant: LinearErrorPlant) -> np.ndarray:
@@ -263,6 +283,9 @@ class GainSchedule:
     noise: NoiseParams
     g: tuple
     h: tuple
+    # (8,) relative mismatch of each gain against its octant's Riccati gain,
+    # as synthesis measured it; gain files do not store it
+    care_mismatch: np.ndarray | None = None
 
 
 def synthesize_schedule(
@@ -280,48 +303,41 @@ def synthesize_schedule(
     plants = [build_plant(noise, octant, g, h) for octant in range(N_OCTANTS)]
     l0, gamma0, _ = solve_h2_lmi(plants[0])
     gains = np.zeros((N_OCTANTS, 6, 6))
+    care_mismatch = np.zeros(N_OCTANTS)
     for octant, plant in enumerate(plants):
         l = gain_symmetry_transform(l0, octant_rotation(octant))
-        l_care, gamma_care, _ = solve_h2_care(plant)
-        mismatch = np.linalg.norm(l - l_care) / np.linalg.norm(l_care)
+        mismatch, gamma_care_rel, gamma_attained_rel, _ = care_cross_check(plant, l, gamma0)
         if mismatch > CROSS_CHECK_TOL:
             raise SynthesisError(
                 f"octant {octant}: LMI and Riccati gains disagree "
                 f"(relative mismatch {mismatch:.3e})"
             )
-        if abs(gamma0 - gamma_care) > CROSS_CHECK_TOL * gamma_care:
+        if gamma_care_rel > CROSS_CHECK_TOL:
             raise SynthesisError(
-                f"octant {octant}: performance levels disagree "
-                f"({gamma0:.6e} vs {gamma_care:.6e})"
+                f"octant {octant}: LMI and Riccati performance levels disagree "
+                f"(relative mismatch {gamma_care_rel:.3e})"
             )
-        gamma_direct = h2_norm(*closed_loop(plant, l), plant.cz)
-        if abs(gamma0 - gamma_direct) > CROSS_CHECK_TOL * gamma_direct:
+        if gamma_attained_rel > CROSS_CHECK_TOL:
             raise SynthesisError(
-                f"octant {octant}: bound {gamma0:.6e} does not match the "
-                f"achieved closed-loop norm {gamma_direct:.6e}"
+                f"octant {octant}: bound {gamma0:.6e} does not match the achieved "
+                f"closed-loop norm (relative mismatch {gamma_attained_rel:.3e})"
             )
         gains[octant] = l
+        care_mismatch[octant] = mismatch
     return GainSchedule(
         gains=gains,
         gammas=np.full(N_OCTANTS, gamma0),
         noise=noise,
         g=tuple(float(v) for v in g),
         h=tuple(float(v) for v in h),
+        care_mismatch=care_mismatch,
     )
 
 
 def schedule_to_dict(schedule: GainSchedule) -> dict:
     return {
         "format_version": GAIN_FORMAT_VERSION,
-        "noise": {
-            "n_w": schedule.noise.n_w,
-            "n_b": schedule.noise.n_b,
-            "n_a": schedule.noise.n_a,
-            "n_m": schedule.noise.n_m,
-            "b0": list(schedule.noise.b0),
-        },
-        "g": list(schedule.g),
-        "h": list(schedule.h),
+        **sensor_model_to_dict(schedule.noise, schedule.g, schedule.h),
         "gammas": [float(v) for v in schedule.gammas],
         "gains": [[[float(v) for v in row] for row in gain] for gain in schedule.gains],
     }
@@ -340,16 +356,7 @@ def schedule_from_dict(data: dict) -> GainSchedule:
     missing = sorted(required - set(data))
     if missing:
         raise GainFileError(f"missing gain file keys: {', '.join(missing)}")
-    try:
-        noise = NoiseParams(
-            n_w=float(data["noise"]["n_w"]),
-            n_b=float(data["noise"]["n_b"]),
-            n_a=float(data["noise"]["n_a"]),
-            n_m=float(data["noise"]["n_m"]),
-            b0=tuple(float(v) for v in data["noise"].get("b0", (0.0, 0.0, 0.0))),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GainFileError(f"invalid noise block: {exc}") from None
+    noise, g, h = sensor_model_from_dict(data, GainFileError)
     gains = np.asarray(data["gains"], dtype=float)
     gammas = np.asarray(data["gammas"], dtype=float)
     if gains.shape != (N_OCTANTS, 6, 6):
@@ -358,13 +365,7 @@ def schedule_from_dict(data: dict) -> GainSchedule:
         raise GainFileError(f"gammas must have length 8, got {gammas.shape}")
     if not (np.all(np.isfinite(gains)) and np.all(np.isfinite(gammas))):
         raise GainFileError("gain file contains non-finite values")
-    return GainSchedule(
-        gains=gains,
-        gammas=gammas,
-        noise=noise,
-        g=tuple(float(v) for v in data["g"]),
-        h=tuple(float(v) for v in data["h"]),
-    )
+    return GainSchedule(gains=gains, gammas=gammas, noise=noise, g=g, h=h)
 
 
 def save_gains(schedule: GainSchedule, path) -> Path:

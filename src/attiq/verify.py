@@ -24,11 +24,12 @@ from .filters import (
     run_filter,
     select_octant,
 )
-from .plant import N_OCTANTS, LinearErrorPlant, build_plant, closed_loop
+from .plant import N_OCTANTS, LinearErrorPlant, build_plant
 from .quat import dcm_of, omega_matrix, quat_multiply, renormalize
 from .sim import NoiseParams, ScenarioConfig, simulate_scenario
 from .synthesis import (
     GainSchedule,
+    care_cross_check,
     default_design_noise,
     h2_norm,
     solve_h2_care,
@@ -36,7 +37,10 @@ from .synthesis import (
     synthesize_schedule,
 )
 
-DEFAULT_RATE = 150.0
+# initial attitude error of the recovery runs, deg
+RECOVERY_ANGLE_DEG = 20.0
+# randomized instances per property suite
+PROPERTY_INSTANCES = 1000
 
 
 @dataclass
@@ -65,8 +69,8 @@ def _timed(number, name, budget, body) -> CriterionResult:
     return CriterionResult(number, name, passed, detail, elapsed)
 
 
-def default_schedule(rate: float = DEFAULT_RATE) -> GainSchedule:
-    return synthesize_schedule(default_design_noise(rate))
+def default_schedule() -> GainSchedule:
+    return synthesize_schedule(default_design_noise())
 
 
 def criterion_1_case3_pitch(schedule: GainSchedule) -> CriterionResult:
@@ -139,15 +143,10 @@ def criterion_4_route_agreement(noise: NoiseParams) -> CriterionResult:
         for octant in range(N_OCTANTS):
             plant = build_plant(noise, octant)
             l_lmi, gamma, _ = solve_h2_lmi(plant)
-            l_care, _, _ = solve_h2_care(plant)
-            rel = np.linalg.norm(l_lmi - l_care) / np.linalg.norm(l_care)
-            attained = h2_norm(*closed_loop(plant, l_lmi), plant.cz)
-            gamma_rel = abs(gamma - attained) / attained
+            rel, _, gamma_rel, abscissa = care_cross_check(plant, l_lmi, gamma)
             worst_gain = max(worst_gain, rel)
             worst_gamma = max(worst_gamma, gamma_rel)
-            worst_eig = max(
-                worst_eig, float(np.linalg.eigvals(plant.a + l_lmi @ plant.cy).real.max())
-            )
+            worst_eig = max(worst_eig, abscissa)
         passed = worst_gain < 1e-3 and worst_gamma < 1e-3 and worst_eig < 0.0
         return passed, (
             f"worst gain mismatch {worst_gain:.2e} (< 1e-3), worst gamma mismatch "
@@ -193,12 +192,12 @@ def criterion_6_noiseless_tracking(schedule: GainSchedule) -> CriterionResult:
     return _timed(6, "noiseless tracking", None, body)
 
 
-def recovery_initial_state(dataset, seed: int, angle_deg: float = 20.0) -> H2State:
-    """Truth attitude rotated by angle_deg about a seeded random axis."""
+def recovery_initial_state(dataset, seed: int) -> H2State:
+    """Truth attitude rotated by RECOVERY_ANGLE_DEG about a seeded random axis."""
     rng = np.random.default_rng(10_000 + seed)
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    half = np.deg2rad(angle_deg) / 2.0
+    half = np.deg2rad(RECOVERY_ANGLE_DEG) / 2.0
     dq = np.array([*(np.sin(half) * axis), np.cos(half)])
     q0 = renormalize(quat_multiply(dq, dataset.q_true[0]))
     return H2State(q=q0, b=np.zeros(3), octant=select_octant(q0))
@@ -300,18 +299,18 @@ PROPERTY_SUITES = (
 )
 
 
-def criterion_8_property_suites(instances: int = 1000) -> CriterionResult:
+def criterion_8_property_suites() -> CriterionResult:
     """Five randomized algebra/persistence suites at 1000 instances each."""
 
     def body():
         failed = [
             name
             for name, seed, suite in PROPERTY_SUITES
-            if not suite(np.random.default_rng(seed), instances)
+            if not suite(np.random.default_rng(seed), PROPERTY_INSTANCES)
         ]
         if failed:
             return False, f"failed suites: {', '.join(failed)}"
-        return True, f"{len(PROPERTY_SUITES)} suites x {instances} instances"
+        return True, f"{len(PROPERTY_SUITES)} suites x {PROPERTY_INSTANCES} instances"
 
     return _timed(8, "algebraic invariant suites", 60.0, body)
 
@@ -329,7 +328,7 @@ CRITERION_CASES = {
 }
 
 
-def run_criteria(case: str | None = None, rate: float = DEFAULT_RATE, echo=None):
+def run_criteria(case: str | None = None, echo=None):
     """Run the acceptance criteria, optionally only those touching one case.
 
     Returns (results, all_passed). echo, when given, is called with each
@@ -339,8 +338,8 @@ def run_criteria(case: str | None = None, rate: float = DEFAULT_RATE, echo=None)
         n for n in sorted(CRITERION_CASES) if case is None or case in CRITERION_CASES[n]
     ]
     needs_schedule = any(n in (1, 2, 3, 6, 7) for n in selected)
-    noise = default_design_noise(rate)
-    schedule = default_schedule(rate) if needs_schedule else None
+    noise = default_design_noise()
+    schedule = synthesize_schedule(noise) if needs_schedule else None
 
     runners = {
         1: lambda: criterion_1_case3_pitch(schedule),

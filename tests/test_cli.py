@@ -7,9 +7,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_are
 
+from attiq import synthesis
 from attiq.cli import CliError, _parse_filters, load_scenario, main
-from attiq.dataset import read_dataset
+from attiq.dataset import read_dataset, sidecar_path
 from attiq.quat import euler_of_quat
 from attiq.synthesis import (
     default_design_noise,
@@ -145,6 +147,17 @@ class TestSynth:
         assert len(resids) == 8
         assert max(resids) < 1e-3
 
+    def test_solves_each_riccati_problem_once(self, workdir, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_continuous_are(*args)
+
+        monkeypatch.setattr(synthesis, "solve_continuous_are", counted)
+        assert main(["synth", "--out", "g.json"]) == 0
+        assert len(calls) == 8
+
     def test_rerun_byte_identical(self, workdir):
         assert main(["synth", "--out", "a.json"]) == 0
         assert main(["synth", "--out", "b.json"]) == 0
@@ -245,6 +258,38 @@ class TestRun:
         code = main(["run", "--dataset", str(dataset), "--gains", str(bad)])
         assert code == 2
         assert "format_version" in capsys.readouterr().err
+
+    def test_sidecar_missing_noise_key_is_format_error(self, workdir, gains_path, capsys):
+        dataset = gen(workdir, "--case", "I", "--seed", "2", "--duration", "1")
+        side = json.loads(sidecar_path(dataset).read_text())
+        del side["noise"]["n_w"]
+        sidecar_path(dataset).write_text(json.dumps(side))
+        code = main(["run", "--dataset", str(dataset), "--gains", str(gains_path)])
+        assert code == 2
+        assert "missing noise keys: n_w" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["sidecar", "gains"])
+    def test_scalar_reference_vector_is_format_error(self, workdir, gains_path, capsys, target):
+        dataset = gen(workdir, "--case", "I", "--seed", "2", "--duration", "1")
+        gains = workdir / "gains.json"
+        gains.write_bytes(gains_path.read_bytes())
+        path = sidecar_path(dataset) if target == "sidecar" else gains
+        data = json.loads(path.read_text())
+        data["g"] = 5
+        path.write_text(json.dumps(data))
+        code = main(["run", "--dataset", str(dataset), "--gains", str(gains)])
+        assert code == 2
+        assert "g must be a list of 3 numbers" in capsys.readouterr().err
+
+    def test_gain_file_unknown_noise_key_rejected(self, workdir, gains_path, capsys):
+        dataset = gen(workdir, "--case", "I", "--seed", "2", "--duration", "1")
+        data = json.loads(gains_path.read_text())
+        data["noise"]["sigma"] = 1
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main(["run", "--dataset", str(dataset), "--gains", str(bad)])
+        assert code == 2
+        assert "unknown noise keys: sigma" in capsys.readouterr().err
 
     def test_unknown_filter_named(self, workdir, gains_path, capsys):
         dataset = gen(workdir, "--case", "I", "--seed", "2", "--duration", "1")

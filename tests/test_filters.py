@@ -4,7 +4,6 @@ import pytest
 from attiq.filters import (
     EkfState,
     H2State,
-    _measurement_jacobian,
     attitude_errors,
     ekf_step,
     evaluate_run,
@@ -25,6 +24,7 @@ from attiq.quat import (
     quat_multiply,
     quat_of_euler,
     renormalize,
+    skew,
 )
 from attiq.sim import (
     DEFAULT_FIELD,
@@ -219,7 +219,10 @@ class TestEkf:
         phi = np.eye(6) + f * dt
         qd = np.diag([noise.n_w**2 * dt] * 3 + [noise.n_b**2 * dt] * 3)
         p_pred = phi @ state.p @ phi.T + qd
-        jac = _measurement_jacobian(state.q, G, H)
+        y_pred = predict_measurement(state.q, G, H)
+        jac = np.zeros((6, 6))
+        jac[:3, :3] = skew(y_pred[:3])
+        jac[3:, :3] = skew(y_pred[3:])
         r = np.diag([noise.n_a**2] * 3 + [noise.n_m**2] * 3)
         k_inf = p_pred @ jac.T @ np.linalg.inv(jac @ p_pred @ jac.T + r)
 

@@ -1,5 +1,6 @@
 """Report aggregation, JSON serialization, and trace files."""
 
+import copy
 import importlib.resources
 import json
 
@@ -11,12 +12,9 @@ from attiq.filters import attitude_errors, evaluate_run, run_filter
 from attiq.report import (
     REPORT_SCHEMA_VERSION,
     TRACE_COLUMNS,
-    ComparisonReport,
     build_report,
     format_report,
-    report_to_dict,
     save_report,
-    summarize_filter,
     write_trace,
 )
 from attiq.sim import ScenarioConfig, simulate_scenario
@@ -52,66 +50,59 @@ def schema():
     return json.loads(res.read_text())
 
 
+def entry(report, method):
+    (found,) = [f for f in report["filters"] if f["method"] == method]
+    return found
+
+
 class TestSummarize:
     def test_accuracy_matches_evaluate_run(self, dataset, runs):
-        summary = summarize_filter(dataset, runs["h2"])
+        summary = entry(build_report(dataset, {"h2": runs["h2"]}), "extended_h2")
         direct = evaluate_run(dataset, runs["h2"][0])
-        assert summary.method == "extended_h2"
-        assert np.allclose(summary.rms_axis_deg, direct.rms_axis_deg)
-        assert summary.rms_total_deg == pytest.approx(direct.rms_total_deg)
-        assert summary.max_total_deg == pytest.approx(direct.max_total_deg)
-        assert np.allclose(summary.rms_bias, direct.rms_bias)
-        assert summary.n_skipped == 0
+        assert np.allclose(summary["rms_axis_deg"], direct.rms_axis_deg)
+        assert summary["rms_total_deg"] == pytest.approx(direct.rms_total_deg)
+        assert summary["max_total_deg"] == pytest.approx(direct.max_total_deg)
+        assert np.allclose(summary["rms_bias"], direct.rms_bias)
+        assert summary["n_skipped"] == 0
 
     def test_timing_pooled_across_repetitions(self, dataset, runs):
-        summary = summarize_filter(dataset, runs["h2"])
+        summary = entry(build_report(dataset, {"h2": runs["h2"]}), "extended_h2")
         pooled = np.concatenate([r.step_ns[1:] for r in runs["h2"]]).astype(float)
-        assert summary.median_step_ns == pytest.approx(np.median(pooled))
-        assert summary.mean_step_ns == pytest.approx(np.mean(pooled))
-        assert summary.std_step_ns == pytest.approx(np.std(pooled))
+        assert summary["median_step_ns"] == pytest.approx(np.median(pooled))
+        assert summary["mean_step_ns"] == pytest.approx(np.mean(pooled))
+        assert summary["std_step_ns"] == pytest.approx(np.std(pooled))
 
     def test_empty_runs_rejected(self, dataset):
         with pytest.raises(ValueError, match="at least one run"):
-            summarize_filter(dataset, [])
+            build_report(dataset, {"h2": []})
 
 
 class TestBuildReport:
     def test_header_fields(self, dataset, report):
-        assert report.schema_version == REPORT_SCHEMA_VERSION
-        assert report.n_samples == len(dataset.t)
-        assert report.repetitions == 2
-        assert report.config["case"] == "III"
-        assert [f.method for f in report.filters] == ["extended_h2", "ekf"]
-
-    def test_filter_lookup_accepts_both_names(self, report):
-        assert report.filter("extended_h2") is report.filter("h2")
-        assert report.filter("ekf").method == "ekf"
-        with pytest.raises(KeyError):
-            build_report_missing = ComparisonReport(
-                config=report.config, n_samples=1, repetitions=1, filters=[]
-            )
-            build_report_missing.filter("ekf")
+        assert report["schema_version"] == REPORT_SCHEMA_VERSION
+        assert report["n_samples"] == len(dataset.t)
+        assert report["repetitions"] == 2
+        assert report["config"]["case"] == "III"
+        assert [f["method"] for f in report["filters"]] == ["extended_h2", "ekf"]
 
     def test_timing_ratio_is_median_quotient(self, report):
-        h2 = report.filter("extended_h2")
-        ekf = report.filter("ekf")
-        assert report.timing_ratio_h2_over_ekf == pytest.approx(
-            h2.median_step_ns / ekf.median_step_ns
+        h2 = entry(report, "extended_h2")
+        ekf = entry(report, "ekf")
+        assert report["timing_ratio_h2_over_ekf"] == pytest.approx(
+            h2["median_step_ns"] / ekf["median_step_ns"]
         )
 
     def test_single_filter_has_no_ratio(self, dataset, runs):
         solo = build_report(dataset, {"ekf": runs["ekf"]})
-        assert solo.timing_ratio_h2_over_ekf is None
-        assert [f.method for f in solo.filters] == ["ekf"]
+        assert solo["timing_ratio_h2_over_ekf"] is None
+        assert [f["method"] for f in solo["filters"]] == ["ekf"]
         # without both filters there is no ratio check either
-        assert all("ratio" not in c["name"] for c in solo.checks)
+        assert all("ratio" not in c["name"] for c in solo["checks"])
 
     def test_case3_check_present_and_consistent(self, report):
-        by_name = {c["name"]: c for c in report.checks}
+        by_name = {c["name"]: c for c in report["checks"]}
         check = by_name["case_III_extended_h2_pitch_rms_deg"]
-        assert check["measured"] == pytest.approx(
-            float(report.filter("extended_h2").rms_axis_deg[1])
-        )
+        assert check["measured"] == pytest.approx(entry(report, "extended_h2")["rms_axis_deg"][1])
         assert check["threshold"] == 0.5
         assert check["passed"] == (check["measured"] < check["threshold"])
         ratio_check = by_name["median_step_ratio_h2_over_ekf"]
@@ -126,24 +117,24 @@ class TestBuildReport:
                 "ekf": [run_filter(ds, "ekf", noise_model=schedule.noise)],
             },
         )
-        names = {c["name"] for c in rep.checks}
+        names = {c["name"] for c in rep["checks"]}
         assert "case_IV_extended_h2_total_rms_deg" in names
         assert "case_IV_ekf_total_rms_deg" in names
 
     def test_rms_values_nonnegative(self, report):
-        for f in report.filters:
-            assert np.all(f.rms_axis_deg >= 0.0)
-            assert f.rms_total_deg >= 0.0
-            assert f.max_total_deg >= f.rms_total_deg
+        for f in report["filters"]:
+            assert np.all(np.array(f["rms_axis_deg"]) >= 0.0)
+            assert f["rms_total_deg"] >= 0.0
+            assert f["max_total_deg"] >= f["rms_total_deg"]
 
 
 class TestSerialization:
     def test_dict_validates_against_schema(self, report, schema):
-        jsonschema.validate(report_to_dict(report), schema)
+        jsonschema.validate(report, schema)
 
     def test_single_filter_report_validates(self, dataset, runs, schema):
         solo = build_report(dataset, {"ekf": runs["ekf"]})
-        jsonschema.validate(report_to_dict(solo), schema)
+        jsonschema.validate(solo, schema)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -155,7 +146,7 @@ class TestSerialization:
         ],
     )
     def test_schema_rejects_malformed(self, report, schema, mutate):
-        data = report_to_dict(report)
+        data = copy.deepcopy(report)
         mutate(data)
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(data, schema)
@@ -164,7 +155,11 @@ class TestSerialization:
         a = save_report(report, tmp_path / "a.json")
         b = save_report(report, tmp_path / "b.json")
         assert a.read_bytes() == b.read_bytes()
-        assert json.loads(a.read_text()) == report_to_dict(report)
+        assert json.loads(a.read_text()) == report
+
+    def test_saved_report_formats_like_the_built_one(self, report, tmp_path):
+        saved = json.loads(save_report(report, tmp_path / "r.json").read_text())
+        assert format_report(saved) == format_report(report)
 
 
 class TestFormat:
@@ -178,15 +173,15 @@ class TestFormat:
         assert any(ln.startswith(("[pass]", "[FAIL]")) for ln in lines)
 
     def test_failed_check_is_flagged(self, report):
-        bad = ComparisonReport(
-            config=report.config,
-            n_samples=report.n_samples,
+        bad = dict(
+            report,
             repetitions=1,
-            filters=[report.filters[0]],
+            filters=report["filters"][:1],
             checks=[
                 {"name": "case_III_extended_h2_pitch_rms_deg", "measured": 2.0,
                  "threshold": 0.5, "passed": False}
             ],
+            timing_ratio_h2_over_ekf=None,
         )
         assert "[FAIL] case_III_extended_h2_pitch_rms_deg" in format_report(bad)
 

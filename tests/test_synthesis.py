@@ -209,6 +209,8 @@ class TestGainFile:
     def test_round_trip(self, schedule, tmp_path):
         path = save_gains(schedule, tmp_path / "gains.json")
         loaded = load_gains(path)
+        assert schedule.care_mismatch.shape == (N_OCTANTS,)
+        assert loaded.care_mismatch is None
         np.testing.assert_array_equal(loaded.gains, schedule.gains)
         np.testing.assert_array_equal(loaded.gammas, schedule.gammas)
         assert loaded.noise == schedule.noise

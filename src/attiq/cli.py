@@ -30,6 +30,7 @@ from .dataset import (
     DatasetFormatError,
     config_from_dict,
     read_dataset,
+    reference_vector,
     sidecar_path,
     write_dataset,
 )
@@ -102,6 +103,7 @@ def cmd_gen(args) -> int:
 
 
 def _design_noise_from_file(path: Path, rate: float) -> tuple[NoiseParams, dict]:
+    """Design noise from a JSON config, and its g/h as synthesize_schedule keywords."""
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -120,9 +122,12 @@ def _design_noise_from_file(path: Path, rate: float) -> tuple[NoiseParams, dict]
             n_a=float(data.get("n_a", base.n_a)),
             n_m=float(data.get("n_m", base.n_m)),
         )
+        vectors = {
+            key: reference_vector(data, key, ValueError) for key in ("g", "h") if key in data
+        }
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from None
-    return noise, data
+    return noise, vectors
 
 
 def cmd_synth(args) -> int:
@@ -131,11 +136,7 @@ def cmd_synth(args) -> int:
         raise CliError(f"sample rate must be > 0, got {rate!r}")
     kwargs = {}
     if args.config:
-        noise, data = _design_noise_from_file(Path(args.config), rate)
-        if "g" in data:
-            kwargs["g"] = tuple(float(v) for v in data["g"])
-        if "h" in data:
-            kwargs["h"] = tuple(float(v) for v in data["h"])
+        noise, kwargs = _design_noise_from_file(Path(args.config), rate)
     else:
         noise = default_design_noise(rate)
     try:

@@ -77,16 +77,19 @@ def sensor_model_from_dict(data: dict, error: type[ValueError]):
         )
     except (TypeError, ValueError) as exc:
         raise error(f"invalid noise block: {exc}") from None
-    vectors = []
-    for key in ("g", "h"):
-        try:
-            vector = tuple(float(v) for v in data[key])
-        except (TypeError, ValueError):
-            vector = ()
-        if len(vector) != 3:
-            raise error(f"{key} must be a list of 3 numbers, got {data[key]!r}")
-        vectors.append(vector)
-    return noise, *vectors
+    return noise, *(reference_vector(data, key, error) for key in ("g", "h"))
+
+
+def reference_vector(data: dict, key: str, error: type[ValueError]) -> tuple:
+    """data[key] as a 3-tuple of floats; anything but a list of 3 numbers raises error."""
+    value = data[key]
+    try:
+        vector = tuple(float(v) for v in value) if isinstance(value, (list, tuple)) else ()
+    except (TypeError, ValueError):
+        vector = ()
+    if len(vector) != 3:
+        raise error(f"{key} must be a list of 3 numbers, got {value!r}")
+    return vector
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
@@ -101,6 +104,8 @@ def config_to_dict(config: ScenarioConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
+    if not isinstance(data, dict):
+        raise DatasetFormatError("config must be a JSON object")
     allowed = {"case", "seed", "duration", "sample_rate", "angular_rate", "noise", "g", "h"}
     unknown = sorted(set(data) - allowed)
     if unknown:
@@ -124,6 +129,30 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise DatasetFormatError(str(exc)) from None
 
 
+CHUNK_ROWS = 512  # rows formatted per write by write_csv
+
+
+def write_csv(path, columns, table: np.ndarray, formats) -> Path:
+    """Write a header line and one line per table row, comma-separated.
+
+    formats gives one %-format per column. Rows are formatted CHUNK_ROWS at a
+    time with one format string, so the file is never held as one string.
+    """
+    path = Path(path)
+    if table.ndim != 2 or table.shape[1] != len(columns) or len(formats) != len(columns):
+        raise ValueError(
+            f"table of shape {table.shape} with {len(formats)} formats "
+            f"does not match {len(columns)} columns"
+        )
+    row = ",".join(formats) + "\n"
+    with path.open("w", encoding="ascii", newline="") as f:
+        f.write(",".join(columns) + "\n")
+        for start in range(0, len(table), CHUNK_ROWS):
+            chunk = table[start : start + CHUNK_ROWS]
+            f.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    return path
+
+
 def write_dataset(dataset: Dataset, path) -> Path:
     """Write measurements + truth to CSV and the config sidecar; returns path."""
     path = Path(path)
@@ -131,7 +160,7 @@ def write_dataset(dataset: Dataset, path) -> Path:
     table = np.column_stack(
         [dataset.t, dataset.w_m, dataset.a_m, dataset.m_m, dataset.q_true, dataset.b_true]
     )
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(COLUMNS), comments="")
+    write_csv(path, COLUMNS, table, ("%.17g",) * len(COLUMNS))
     sidecar_path(path).write_text(
         json.dumps(config_to_dict(dataset.config), indent=2, sort_keys=True) + "\n"
     )
@@ -186,6 +215,8 @@ def read_dataset(path) -> Dataset:
         config = config_from_dict(json.loads(side.read_text()))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{side}: invalid JSON: {exc}") from None
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{side}: {exc}") from None
 
     expected_rows = config.n_samples
     if len(rows) != expected_rows:

@@ -98,8 +98,12 @@ def quat_inverse(q: np.ndarray) -> np.ndarray:
 def dcm_of(q: np.ndarray) -> np.ndarray:
     """Direction cosine matrix (inertial -> body) of a unit quaternion.
 
-    Expanded form of (q4^2 - v.v) I + 2 v v^T - 2 q4 skew(v).
+    Expanded form of (q4^2 - v.v) I + 2 v v^T - 2 q4 skew(v). An array
+    stack of quaternions (..., 4) gives the stack of matrices (..., 3, 3),
+    each equal bit for bit to dcm_of of its row.
     """
+    if getattr(q, "ndim", 1) > 1:
+        return _dcm_stack(np.asarray(q, dtype=float))
     q = _check_unit(q)
     q1, q2, q3, q4 = q
     s11, s22, s33, s44 = q1 * q1, q2 * q2, q3 * q3, q4 * q4
@@ -122,6 +126,26 @@ def dcm_of(q: np.ndarray) -> np.ndarray:
             ],
         ]
     )
+
+
+def _dcm_stack(q: np.ndarray) -> np.ndarray:
+    """dcm_of's expression evaluated over a stack of quaternions (..., 4)."""
+    norm_err = np.abs(np.sum(q * q, axis=-1) - 1.0)
+    if np.any(norm_err > 1e-6):
+        raise ValueError(f"quaternion is not unit norm: max ||q|^2 - 1| = {norm_err.max()!r}")
+    q1, q2, q3, q4 = np.moveaxis(q, -1, 0)
+    s11, s22, s33, s44 = q1 * q1, q2 * q2, q3 * q3, q4 * q4
+    c = np.empty(q.shape[:-1] + (3, 3))
+    c[..., 0, 0] = s44 + s11 - s22 - s33
+    c[..., 0, 1] = 2.0 * (q1 * q2 + q4 * q3)
+    c[..., 0, 2] = 2.0 * (q1 * q3 - q4 * q2)
+    c[..., 1, 0] = 2.0 * (q1 * q2 - q4 * q3)
+    c[..., 1, 1] = s44 - s11 + s22 - s33
+    c[..., 1, 2] = 2.0 * (q2 * q3 + q4 * q1)
+    c[..., 2, 0] = 2.0 * (q1 * q3 + q4 * q2)
+    c[..., 2, 1] = 2.0 * (q2 * q3 - q4 * q1)
+    c[..., 2, 2] = s44 - s11 - s22 + s33
+    return c
 
 
 def small_angle_quat(dtheta: np.ndarray) -> np.ndarray:
@@ -277,18 +301,23 @@ def quat_of_dcm(c: np.ndarray) -> np.ndarray:
     return normalize(q)
 
 
-def body_rates_from_euler(
-    angles: np.ndarray, rates: np.ndarray
-) -> np.ndarray:
-    """Body angular velocity from Z-Y-X Euler angles and their time derivatives."""
-    roll, pitch, _ = angles
-    droll, dpitch, dyaw = rates
+def body_rates_from_euler(angles: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Body angular velocity from Z-Y-X Euler angles and their time derivatives.
+
+    Broadcasts over leading axes: angles and rates (..., 3) give (..., 3),
+    each row equal bit for bit to the result for that row alone.
+    """
+    angles = np.asarray(angles, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    roll, pitch = angles[..., 0], angles[..., 1]
+    droll, dpitch, dyaw = rates[..., 0], rates[..., 1], rates[..., 2]
     sr, cr = np.sin(roll), np.cos(roll)
     sp, cp = np.sin(pitch), np.cos(pitch)
-    return np.array(
+    return np.stack(
         [
             droll - dyaw * sp,
             dpitch * cr + dyaw * cp * sr,
             -dpitch * sr + dyaw * cp * cr,
-        ]
+        ],
+        axis=-1,
     )

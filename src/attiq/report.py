@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import config_to_dict
+from .dataset import config_to_dict, write_csv
 from .filters import FilterRun, attitude_errors, evaluate_run
 from .sim import Dataset
 
@@ -173,13 +173,6 @@ def write_trace(dataset: Dataset, run: FilterRun, path) -> Path:
             run.step_ns,
         ]
     )
-    path = Path(path)
-    np.savetxt(
-        path,
-        table,
-        fmt=["%.17g"] * (len(TRACE_COLUMNS) - 1) + ["%d"],
-        delimiter=",",
-        header=",".join(TRACE_COLUMNS),
-        comments="",
+    return write_csv(
+        path, TRACE_COLUMNS, table, ("%.17g",) * (len(TRACE_COLUMNS) - 1) + ("%d",)
     )
-    return path

@@ -11,6 +11,14 @@ Truth quaternions are produced by integrating the sampled body-rate sequence
 with the exact constant-rate exponential, so a filter fed the noiseless rate
 samples can track the truth to floating-point accuracy.
 
+Generation works on whole arrays. A case's Euler profile is a function of
+the time array, giving (n, 3) angles and rates; body rates, the exponential
+coefficients of every interval and the stacked DCMs of all samples are each
+one array expression. The only per-sample loop is the 4-component truth
+quaternion recursion, which repeats quat.integrate_step's arithmetic in the
+same order, so q[k + 1] == integrate_step(q[k], w[k], dt) bit for bit and
+the dataset bytes are those of a per-sample simulation.
+
 A Dataset holds one (n, k) array per quantity, one row per sample. Its
 w_true is None when it was read from a file, which does not store the truth
 angular rates.
@@ -22,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quat import body_rates_from_euler, dcm_of, integrate_step, quat_of_euler
+from .quat import body_rates_from_euler, dcm_of, normalize, quat_of_euler
 
 DEFAULT_GRAVITY = (0.0, 0.0, 9.81)  # NED, m/s^2
 DEFAULT_FIELD = (22.5, 1.5, 42.0)  # NED, uT
@@ -139,32 +147,33 @@ class SensorStreams:
         self.bias = np.random.Generator(np.random.PCG64(children[3]))
 
 
-def _smoothstep(t: float, t0: float, t1: float, a: float, b: float):
-    """C2 interpolation from a at t0 to b at t1; returns (value, rate)."""
-    if t <= t0:
-        return a, 0.0
-    if t >= t1:
-        return b, 0.0
+def _keyframes(t: np.ndarray, segments) -> tuple[np.ndarray, np.ndarray]:
+    """Value and rate at times t of a channel scripted as a sorted list of
+    (t0, t1, from, to) smoothstep segments.
+
+    A sample takes the last segment starting at or before it: C2
+    interpolation from `from` at t0 to `to` at t1, held at `to` after t1.
+    Samples before the first segment hold its `from` value.
+    """
+    t0, t1, a, b = (np.array(column) for column in zip(*segments))
+    i = np.searchsorted(t0, t, side="right") - 1
+    started = i >= 0
+    i = np.maximum(i, 0)
+    t0, t1, a, b = t0[i], t1[i], a[i], b[i]
+    inside = started & (t > t0) & (t < t1)
     u = (t - t0) / (t1 - t0)
     s = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
     ds = 30.0 * u * u * (1.0 - u) * (1.0 - u) / (t1 - t0)
-    return a + (b - a) * s, (b - a) * ds
-
-
-def _keyframe_channel(t: float, segments) -> tuple[float, float]:
-    """Evaluate a sorted list of (t0, t1, from, to) smoothstep segments."""
-    value, rate = segments[0][2], 0.0
-    for t0, t1, a, b in segments:
-        if t < t0:
-            break
-        value, rate = _smoothstep(t, t0, t1, a, b)
-        if t < t1:
-            return value, rate
+    value = np.where(inside, a + (b - a) * s, np.where(started & (t >= t1), b, a))
+    rate = np.where(inside, (b - a) * ds, 0.0)
     return value, rate
 
 
 def _euler_profile(config: ScenarioConfig):
-    """Analytic Euler angle/rate profile of a case; returns angles(t), rates(t)."""
+    """Analytic Euler angle/rate profile of a case.
+
+    Returns profile(t) giving the (n, 3) angles and rates at the times t (n,).
+    """
     case = config.case
     duration = config.duration
     rho = config.angular_rate
@@ -175,12 +184,13 @@ def _euler_profile(config: ScenarioConfig):
         amp = rho * seg / np.pi
 
         def profile(t):
-            angles = np.zeros(3)
-            rates = np.zeros(3)
-            axis = min(int(t / seg), 2)
+            rows = np.arange(len(t))
+            axis = np.minimum((t / seg).astype(int), 2)
             tau = t - axis * seg
-            angles[axis] = 0.5 * amp * (1.0 - np.cos(2.0 * np.pi * tau / seg))
-            rates[axis] = amp * (np.pi / seg) * np.sin(2.0 * np.pi * tau / seg)
+            angles = np.zeros((len(t), 3))
+            rates = np.zeros((len(t), 3))
+            angles[rows, axis] = 0.5 * amp * (1.0 - np.cos(2.0 * np.pi * tau / seg))
+            rates[rows, axis] = amp * (np.pi / seg) * np.sin(2.0 * np.pi * tau / seg)
             return angles, rates
 
         return profile
@@ -193,7 +203,7 @@ def _euler_profile(config: ScenarioConfig):
         amp[1] = -amp[1]  # pitch dips while roll and yaw rise
 
         def profile(t):
-            phase = 2.0 * np.pi * cycles * t / duration
+            phase = 2.0 * np.pi * cycles * t[:, None] / duration
             angles = 0.5 * amp * (1.0 - np.cos(phase))
             rates = amp * (np.pi * cycles / duration) * np.sin(phase)
             return angles, rates
@@ -214,12 +224,14 @@ def _euler_profile(config: ScenarioConfig):
             amp = 0.0
 
         def profile(t):
-            angles = np.zeros(3)
-            rates = np.zeros(3)
+            angles = np.zeros((len(t), 3))
+            rates = np.zeros((len(t), 3))
             tau = t - lead
-            if 0.0 <= tau < sweep:
-                angles[1] = 0.5 * amp * (1.0 - np.cos(2.0 * np.pi * tau / sweep))
-                rates[1] = amp * (np.pi / sweep) * np.sin(2.0 * np.pi * tau / sweep)
+            sweeping = (0.0 <= tau) & (tau < sweep)
+            angle = 0.5 * amp * (1.0 - np.cos(2.0 * np.pi * tau / sweep))
+            rate = amp * (np.pi / sweep) * np.sin(2.0 * np.pi * tau / sweep)
+            angles[:, 1] = np.where(sweeping, angle, 0.0)
+            rates[:, 1] = np.where(sweeping, rate, 0.0)
             return angles, rates
 
         return profile
@@ -256,10 +268,9 @@ def _euler_profile(config: ScenarioConfig):
     ]
 
     def profile(t):
-        r, dr = _keyframe_channel(t, roll_segs)
-        p, dp = _keyframe_channel(t, pitch_segs)
-        y, dy = _keyframe_channel(t, yaw_segs)
-        return np.array([r, p, y]), np.array([dr, dp, dy])
+        channels = [_keyframes(t, segs) for segs in (roll_segs, pitch_segs, yaw_segs)]
+        angles, rates = (np.stack(part, axis=-1) for part in zip(*channels))
+        return angles, rates
 
     return profile
 
@@ -270,7 +281,8 @@ def generate_truth(config: ScenarioConfig, streams: SensorStreams | None = None)
     Returns the arrays (t, q, w, b) of shapes (n,), (n, 4), (n, 3) and
     (n, 3). The quaternion sequence integrates the sampled rates exactly
     (constant rate over each interval), so consecutive samples are separated
-    by exactly |w_k| * dt of rotation.
+    by exactly |w_k| * dt of rotation: q[k + 1] == integrate_step(q[k], w[k],
+    dt) bit for bit.
     """
     if streams is None:
         streams = SensorStreams(config.seed)
@@ -278,15 +290,41 @@ def generate_truth(config: ScenarioConfig, streams: SensorStreams | None = None)
     n = config.n_samples
     dt = config.dt
     t = np.arange(n) * dt
+    angles, rates = profile(t)
+    w = body_rates_from_euler(angles, rates)
+
+    # integrate_step's exponential coefficients for every interval at once
+    wx, wy, wz = w[:-1].T
+    wn = np.sqrt(wx * wx + wy * wy + wz * wz)
+    half = 0.5 * wn * dt
+    still = wn < 1e-12
+    # series limit: sin(a/2)/|w| -> dt/2
+    cos_half = np.where(still, 1.0, np.cos(half))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        k_half = np.where(still, 0.5 * dt, np.sin(half) / wn)
+
+    # the quaternion recursion of integrate_step, in plain floats
     q = np.empty((n, 4))
-    w = np.empty((n, 3))
-    angles0, _ = profile(0.0)
-    q_k = quat_of_euler(*angles0)
-    for k in range(n):
-        angles, rates = profile(k * dt)
-        w[k] = body_rates_from_euler(angles, rates)
-        q[k] = q_k
-        q_k = integrate_step(q_k, w[k], dt)
+    q_k = quat_of_euler(*profile(np.zeros(1))[0][0])
+    for i, (c, k, w1, w2, w3) in enumerate(
+        zip(cos_half.tolist(), k_half.tolist(), wx.tolist(), wy.tolist(), wz.tolist())
+    ):
+        q[i] = q_k
+        q1, q2, q3, q4 = q_k.tolist()
+        if abs(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 - 1.0) > 1e-6:
+            raise ValueError(f"quaternion is not unit norm at sample {i}")
+        q_k = normalize(
+            np.array(
+                [
+                    c * q1 + k * (w3 * q2 - w2 * q3 + w1 * q4),
+                    c * q2 + k * (-w3 * q1 + w1 * q3 + w2 * q4),
+                    c * q3 + k * (w2 * q1 - w1 * q2 + w3 * q4),
+                    c * q4 + k * (-w1 * q1 - w2 * q2 - w3 * q3),
+                ]
+            )
+        )
+    if n:
+        q[-1] = q_k
 
     b0 = np.array(config.noise.b0, dtype=float)
     walk_std = config.noise.n_b * np.sqrt(dt)
@@ -311,7 +349,7 @@ def measure(
     """IMU samples for a truth sequence: biased, noisy gyro plus body-frame
     gravity and field. Returns the arrays (w_m, a_m, m_m), each (n, 3)."""
     n = len(q)
-    c = np.array([dcm_of(q_k) for q_k in q]).reshape(n, 3, 3)
+    c = dcm_of(q)
     w_m = w + b + noise.n_w * streams.gyro.standard_normal((n, 3))
     a_m = c @ np.asarray(g, dtype=float) + noise.n_a * streams.accel.standard_normal((n, 3))
     m_m = c @ np.asarray(h, dtype=float) + noise.n_m * streams.mag.standard_normal((n, 3))

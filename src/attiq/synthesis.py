@@ -381,4 +381,7 @@ def load_gains(path) -> GainSchedule:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise GainFileError(f"{path}: invalid JSON: {exc}") from None
-    return schedule_from_dict(data)
+    try:
+        return schedule_from_dict(data)
+    except GainFileError as exc:
+        raise GainFileError(f"{path}: {exc}") from None

@@ -175,6 +175,16 @@ class TestSynth:
         assert code == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", ['{"g": 5}', '{"h": [1, 2]}'])
+    def test_config_malformed_reference_vector_named(self, workdir, capsys, config):
+        (workdir / "noise.json").write_text(config)
+        code = main(["synth", "--config", "noise.json", "--out", "g.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "noise.json: " in err
+        assert "must be a list of 3 numbers" in err
+        assert not (workdir / "g.json").exists()
+
 
 @pytest.fixture(scope="module")
 def run_artifacts(tmp_path_factory, gains_path):
@@ -257,7 +267,9 @@ class TestRun:
         bad.write_text('{"format_version": 99}')
         code = main(["run", "--dataset", str(dataset), "--gains", str(bad)])
         assert code == 2
-        assert "format_version" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err
+        assert "format_version" in err
 
     def test_sidecar_missing_noise_key_is_format_error(self, workdir, gains_path, capsys):
         dataset = gen(workdir, "--case", "I", "--seed", "2", "--duration", "1")
@@ -266,7 +278,7 @@ class TestRun:
         sidecar_path(dataset).write_text(json.dumps(side))
         code = main(["run", "--dataset", str(dataset), "--gains", str(gains_path)])
         assert code == 2
-        assert "missing noise keys: n_w" in capsys.readouterr().err
+        assert f"{sidecar_path(dataset)}: missing noise keys: n_w" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["sidecar", "gains"])
     def test_scalar_reference_vector_is_format_error(self, workdir, gains_path, capsys, target):
@@ -279,7 +291,7 @@ class TestRun:
         path.write_text(json.dumps(data))
         code = main(["run", "--dataset", str(dataset), "--gains", str(gains)])
         assert code == 2
-        assert "g must be a list of 3 numbers" in capsys.readouterr().err
+        assert f"{path}: g must be a list of 3 numbers" in capsys.readouterr().err
 
     def test_gain_file_unknown_noise_key_rejected(self, workdir, gains_path, capsys):
         dataset = gen(workdir, "--case", "I", "--seed", "2", "--duration", "1")
@@ -289,7 +301,7 @@ class TestRun:
         bad.write_text(json.dumps(data))
         code = main(["run", "--dataset", str(dataset), "--gains", str(bad)])
         assert code == 2
-        assert "unknown noise keys: sigma" in capsys.readouterr().err
+        assert f"{bad}: unknown noise keys: sigma" in capsys.readouterr().err
 
     def test_unknown_filter_named(self, workdir, gains_path, capsys):
         dataset = gen(workdir, "--case", "I", "--seed", "2", "--duration", "1")

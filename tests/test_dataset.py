@@ -1,18 +1,27 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 from attiq.dataset import (
+    CHUNK_ROWS,
     COLUMNS,
     DatasetFormatError,
     config_from_dict,
     config_to_dict,
     read_dataset,
     sidecar_path,
+    write_csv,
     write_dataset,
 )
-from attiq.sim import NoiseParams, ScenarioConfig, simulate_scenario
+from attiq.report import TRACE_COLUMNS
+from attiq.sim import Dataset, NoiseParams, ScenarioConfig, simulate_scenario
+
+DATASET_FORMATS = ("%.17g",) * len(COLUMNS)
+TRACE_FORMATS = ("%.17g",) * (len(TRACE_COLUMNS) - 1) + ("%d",)
+ROW_COUNTS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1]
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +156,30 @@ class TestReadErrors:
         with pytest.raises(DatasetFormatError, match="JSON"):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda side: side["noise"].pop("n_w"), "missing noise keys: n_w"),
+            (lambda side: side.update(g=5), "g must be a list of 3 numbers"),
+            (lambda side: side.update(extra_knob=1), "unknown config keys: extra_knob"),
+        ],
+        ids=["noise_key", "scalar_g", "unknown_key"],
+    )
+    def test_sidecar_format_error_names_file(self, small_dataset, tmp_path, mutate, message):
+        path = write_small(small_dataset, tmp_path)
+        side = json.loads(sidecar_path(path).read_text())
+        mutate(side)
+        sidecar_path(path).write_text(json.dumps(side))
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(path)
+        assert str(info.value).startswith(f"{sidecar_path(path)}: {message}")
+
+    def test_sidecar_not_an_object(self, small_dataset, tmp_path):
+        path = write_small(small_dataset, tmp_path)
+        sidecar_path(path).write_text("[1, 2]")
+        with pytest.raises(DatasetFormatError, match="config must be a JSON object"):
+            read_dataset(path)
+
 
 class TestConfigDict:
     def test_unknown_key_named(self):
@@ -184,3 +217,61 @@ class TestConfigDict:
         assert COLUMNS[0] == "t"
         assert COLUMNS[10:14] == ("q1_true", "q2_true", "q3_true", "q4_true")
         assert len(COLUMNS) == 17
+
+
+def special_table(n_rows: int, n_cols: int, integer_last: bool) -> np.ndarray:
+    """Values over the whole double range with nan, inf and -0.0 spread through."""
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-300, 300, (n_rows, n_cols))
+    if table.size:
+        cells = rng.choice(table.size, size=min(table.size, 4 * len(SPECIAL_VALUES)), replace=False)
+        table.flat[cells] = np.resize(SPECIAL_VALUES, len(cells))
+    if integer_last:
+        table[:, -1] = rng.integers(0, 10**12, n_rows)
+    return table
+
+
+def savetxt_bytes(columns, table, formats) -> bytes:
+    """The reference writer: np.savetxt with the same formats and header."""
+    out = io.BytesIO()
+    np.savetxt(out, table, fmt=list(formats), delimiter=",", header=",".join(columns), comments="")
+    return out.getvalue()
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n_rows", ROW_COUNTS)
+    @pytest.mark.parametrize(
+        "columns, formats", [(COLUMNS, DATASET_FORMATS), (TRACE_COLUMNS, TRACE_FORMATS)],
+        ids=["dataset", "trace"],
+    )
+    def test_bytes_match_savetxt(self, tmp_path, n_rows, columns, formats):
+        table = special_table(n_rows, len(columns), integer_last=formats[-1] == "%d")
+        path = write_csv(tmp_path / "t.csv", columns, table, formats)
+        assert path.read_bytes() == savetxt_bytes(columns, table, formats)
+
+    @pytest.mark.parametrize("n_rows", ROW_COUNTS)
+    def test_dataset_round_trips_bit_for_bit(self, tmp_path, n_rows):
+        table = special_table(n_rows, len(COLUMNS), integer_last=False)
+        config = ScenarioConfig.for_case("I", seed=1, sample_rate=1.0, duration=n_rows or 0.25)
+        ds = Dataset(
+            config=config,
+            t=table[:, 0],
+            w_m=table[:, 1:4],
+            a_m=table[:, 4:7],
+            m_m=table[:, 7:10],
+            q_true=table[:, 10:14],
+            b_true=table[:, 14:17],
+        )
+        path = write_dataset(ds, tmp_path / "special.csv")
+        assert path.read_bytes() == savetxt_bytes(COLUMNS, table, DATASET_FORMATS)
+        loaded = read_dataset(path)
+        for name in ("t", "w_m", "a_m", "m_m", "q_true", "b_true"):
+            written, read = getattr(ds, name), getattr(loaded, name)
+            assert read.shape == written.shape
+            assert np.array_equal(read.view(np.uint64), written.view(np.uint64)), name
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="columns"):
+            write_csv(tmp_path / "t.csv", COLUMNS, np.zeros((3, 5)), DATASET_FORMATS)
+        with pytest.raises(ValueError, match="columns"):
+            write_csv(tmp_path / "t.csv", COLUMNS, np.zeros((3, 17)), ("%.17g",))

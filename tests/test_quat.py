@@ -161,6 +161,19 @@ class TestDcm:
             assert np.linalg.norm(c.T @ c - np.eye(3)) < 1e-12
             assert abs(np.linalg.det(c) - 1.0) < 1e-12
 
+    def test_stack_equals_rows_bit_for_bit(self):
+        q = np.array(random_quats(200, 17)).reshape(2, 100, 4)
+        c = dcm_of(q)
+        assert c.shape == (2, 100, 3, 3)
+        for i, j in np.ndindex(2, 100):
+            assert np.array_equal(c[i, j], dcm_of(q[i, j]))
+
+    def test_stack_rejects_non_unit_row(self):
+        q = np.array(random_quats(5, 18))
+        q[3] *= 1.1
+        with pytest.raises(ValueError, match="unit norm"):
+            dcm_of(q)
+
 
 class TestSmallAngleQuat:
     def test_example(self):
@@ -325,6 +338,16 @@ class TestBodyRates:
             qdot_num = (qp - qm) / (2 * eps)
             w = body_rates_from_euler(angles(t), rates(t))
             np.testing.assert_allclose(quat_derivative(q, w), qdot_num, atol=1e-7)
+
+
+    def test_stack_equals_rows_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        angles = rng.uniform(-np.pi, np.pi, (3, 50, 3))
+        rates = rng.standard_normal((3, 50, 3))
+        w = body_rates_from_euler(angles, rates)
+        assert w.shape == (3, 50, 3)
+        for i, j in np.ndindex(3, 50):
+            assert np.array_equal(w[i, j], body_rates_from_euler(angles[i, j], rates[i, j]))
 
 
 class TestNormalize:

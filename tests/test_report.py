@@ -2,6 +2,7 @@
 
 import copy
 import importlib.resources
+import io
 import json
 
 import jsonschema
@@ -202,3 +203,18 @@ class TestTrace:
         assert np.allclose(table["bias_err_x"], run.b_est[:, 0] - dataset.b_true[:, 0])
         assert np.array_equal(table["step_time_ns"].astype(np.int64), run.step_ns)
         assert np.all(table["err_total_deg"] >= 0.0)
+
+    def test_bytes_match_savetxt(self, dataset, runs, tmp_path):
+        # np.savetxt with the trace formats is the reference writer
+        run = runs["ekf"][0]
+        path = write_trace(dataset, run, tmp_path / "trace.csv")
+        comps, totals = attitude_errors(run.q_est, dataset.q_true)
+        table = np.column_stack(
+            [dataset.t, np.degrees(comps), np.degrees(totals), run.b_est - dataset.b_true, run.step_ns]
+        )
+        expected = io.BytesIO()
+        np.savetxt(
+            expected, table, fmt=["%.17g"] * 8 + ["%d"], delimiter=",",
+            header=",".join(TRACE_COLUMNS), comments="",
+        )
+        assert path.read_bytes() == expected.getvalue()

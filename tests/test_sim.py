@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from attiq.quat import angular_distance, dcm_of, euler_of_quat
+from attiq import sim
+from attiq.quat import angular_distance, dcm_of, euler_of_quat, integrate_step
 from attiq.sim import (
     CASE_DEFAULTS,
+    CASES,
     NoiseParams,
     ScenarioConfig,
     SensorStreams,
@@ -16,6 +18,16 @@ from attiq.sim import (
 def quiet_config(case, seed=1, **kw):
     kw.setdefault("noise", NoiseParams.zero())
     return ScenarioConfig.for_case(case, seed=seed, **kw)
+
+
+# the case defaults and the edge configurations the exactness tests cover
+EDGES = {
+    "default": {},
+    "half_second": {"duration": 0.5},
+    "no_rate": {"angular_rate": 0.0},
+    "37_hz": {"sample_rate": 37.0},
+}
+CASE_EDGES = [pytest.param(case, kw, id=f"{case}-{name}") for case in CASES for name, kw in EDGES.items()]
 
 
 class TestNoiseParams:
@@ -130,6 +142,55 @@ class TestTruth:
         steps = np.diff(b, axis=0)
         expected = 1e-3 * np.sqrt(cfg.dt)
         assert np.std(steps) == pytest.approx(expected, rel=0.05)
+
+
+class TestExactness:
+    @pytest.mark.parametrize("case, kw", CASE_EDGES)
+    def test_truth_steps_are_integrate_step(self, case, kw):
+        cfg = ScenarioConfig.for_case(case, seed=3, **kw)
+        _, q, w, _ = generate_truth(cfg)
+        for k in range(cfg.n_samples - 1):
+            assert np.array_equal(q[k + 1], integrate_step(q[k], w[k], cfg.dt)), k
+
+    @pytest.mark.parametrize("case, kw", CASE_EDGES)
+    def test_noiseless_measurements_are_dcm_products(self, case, kw):
+        ds = simulate_scenario(quiet_config(case, seed=3, **kw))
+        g, h = np.array(ds.config.g), np.array(ds.config.h)
+        assert np.array_equal(ds.w_m, ds.w_true)
+        for k in range(len(ds.t)):
+            c = dcm_of(ds.q_true[k])
+            assert np.array_equal(ds.a_m[k], c @ g), k
+            assert np.array_equal(ds.m_m[k], c @ h), k
+
+    def test_keyframes_match_per_sample_reference(self):
+        # reference: the per-sample segment walk the array form replaces
+        def smoothstep(t, t0, t1, a, b):
+            if t <= t0:
+                return a, 0.0
+            if t >= t1:
+                return b, 0.0
+            u = (t - t0) / (t1 - t0)
+            s = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+            ds = 30.0 * u * u * (1.0 - u) * (1.0 - u) / (t1 - t0)
+            return a + (b - a) * s, (b - a) * ds
+
+        def channel(t, segments):
+            value, rate = segments[0][2], 0.0
+            for t0, t1, a, b in segments:
+                if t < t0:
+                    break
+                value, rate = smoothstep(t, t0, t1, a, b)
+                if t < t1:
+                    return value, rate
+            return value, rate
+
+        segments = [(1.0, 2.5, 0.3, -0.2), (2.5, 4.0, -0.2, 0.7), (6.0, 7.0, 0.7, 0.0)]
+        edges = [t for seg in segments for t in seg[:2]]
+        t = np.sort(np.concatenate([np.linspace(0.0, 8.0, 801), edges, np.nextafter(edges, 9.0)]))
+        value, rate = sim._keyframes(t, segments)
+        expected = np.array([channel(t_k, segments) for t_k in t.tolist()])
+        assert np.array_equal(value, expected[:, 0])
+        assert np.array_equal(rate, expected[:, 1])
 
 
 class TestMeasure:

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
@@ -245,6 +248,14 @@ class TestGainFile:
         data["gains"][0][0][0] = float("nan")
         with pytest.raises(GainFileError, match="finite"):
             schedule_from_dict(data)
+
+    def test_format_error_names_file(self, schedule, tmp_path):
+        data = schedule_to_dict(schedule)
+        data["noise"]["n_q"] = 0.1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(GainFileError, match=f"^{re.escape(str(path))}: unknown noise keys: n_q"):
+            load_gains(path)
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -188,10 +188,11 @@ def integrate_step(q: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     """Propagate q over dt at constant body rate w via the exact exponential.
 
     expm(0.5 * Omega(w) * dt) = cos(a/2) I + sin(a/2)/|w| Omega(w), a = |w| dt;
-    applied here componentwise as c q + k Omega(w) q.
+    applied here componentwise as c q + k Omega(w) q, on Python floats, which
+    round each operation as numpy scalars do at a fraction of the cost.
     """
-    q = _check_unit(q)
-    w1, w2, w3 = w
+    q1, q2, q3, q4 = _check_unit(q).tolist()
+    w1, w2, w3 = np.asarray(w, dtype=float).tolist()
     wn = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
     half = 0.5 * wn * dt
     if wn < 1e-12:
@@ -199,7 +200,6 @@ def integrate_step(q: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
         c, k = 1.0, 0.5 * dt
     else:
         c, k = math.cos(half), math.sin(half) / wn
-    q1, q2, q3, q4 = q
     return normalize(
         np.array(
             [

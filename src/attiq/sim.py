@@ -12,12 +12,10 @@ with the exact constant-rate exponential, so a filter fed the noiseless rate
 samples can track the truth to floating-point accuracy.
 
 Generation works on whole arrays. A case's Euler profile is a function of
-the time array, giving (n, 3) angles and rates; body rates, the exponential
-coefficients of every interval and the stacked DCMs of all samples are each
-one array expression. The only per-sample loop is the 4-component truth
-quaternion recursion, which repeats quat.integrate_step's arithmetic in the
-same order, so q[k + 1] == integrate_step(q[k], w[k], dt) bit for bit and
-the dataset bytes are those of a per-sample simulation.
+the time array, giving (n, 3) angles and rates; the body rates and the
+stacked DCMs of all samples are each one array expression. The only
+per-sample loop is the truth quaternion recursion, one quat.integrate_step
+per interval, the same step the filters propagate with.
 
 A Dataset holds one (n, k) array per quantity, one row per sample. Its
 w_true is None when it was read from a file, which does not store the truth
@@ -30,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quat import body_rates_from_euler, dcm_of, normalize, quat_of_euler
+from .quat import body_rates_from_euler, dcm_of, integrate_step, quat_of_euler
 
 DEFAULT_GRAVITY = (0.0, 0.0, 9.81)  # NED, m/s^2
 DEFAULT_FIELD = (22.5, 1.5, 42.0)  # NED, uT
@@ -281,8 +279,7 @@ def generate_truth(config: ScenarioConfig, streams: SensorStreams | None = None)
     Returns the arrays (t, q, w, b) of shapes (n,), (n, 4), (n, 3) and
     (n, 3). The quaternion sequence integrates the sampled rates exactly
     (constant rate over each interval), so consecutive samples are separated
-    by exactly |w_k| * dt of rotation: q[k + 1] == integrate_step(q[k], w[k],
-    dt) bit for bit.
+    by exactly |w_k| * dt of rotation: q[k + 1] == integrate_step(q[k], w[k], dt).
     """
     if streams is None:
         streams = SensorStreams(config.seed)
@@ -292,39 +289,11 @@ def generate_truth(config: ScenarioConfig, streams: SensorStreams | None = None)
     t = np.arange(n) * dt
     angles, rates = profile(t)
     w = body_rates_from_euler(angles, rates)
-
-    # integrate_step's exponential coefficients for every interval at once
-    wx, wy, wz = w[:-1].T
-    wn = np.sqrt(wx * wx + wy * wy + wz * wz)
-    half = 0.5 * wn * dt
-    still = wn < 1e-12
-    # series limit: sin(a/2)/|w| -> dt/2
-    cos_half = np.where(still, 1.0, np.cos(half))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k_half = np.where(still, 0.5 * dt, np.sin(half) / wn)
-
-    # the quaternion recursion of integrate_step, in plain floats
     q = np.empty((n, 4))
     q_k = quat_of_euler(*profile(np.zeros(1))[0][0])
-    for i, (c, k, w1, w2, w3) in enumerate(
-        zip(cos_half.tolist(), k_half.tolist(), wx.tolist(), wy.tolist(), wz.tolist())
-    ):
-        q[i] = q_k
-        q1, q2, q3, q4 = q_k.tolist()
-        if abs(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4 - 1.0) > 1e-6:
-            raise ValueError(f"quaternion is not unit norm at sample {i}")
-        q_k = normalize(
-            np.array(
-                [
-                    c * q1 + k * (w3 * q2 - w2 * q3 + w1 * q4),
-                    c * q2 + k * (-w3 * q1 + w1 * q3 + w2 * q4),
-                    c * q3 + k * (w2 * q1 - w1 * q2 + w3 * q4),
-                    c * q4 + k * (-w1 * q1 - w2 * q2 - w3 * q3),
-                ]
-            )
-        )
-    if n:
-        q[-1] = q_k
+    for k in range(n):
+        q[k] = q_k
+        q_k = integrate_step(q_k, w[k], dt)
 
     b0 = np.array(config.noise.b0, dtype=float)
     walk_std = config.noise.n_b * np.sqrt(dt)

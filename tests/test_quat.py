@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -244,6 +246,31 @@ class TestIntegrateStep:
             if expected[3] < 0:
                 expected = -expected
             np.testing.assert_allclose(integrate_step(e, w, dt), expected, atol=1e-13)
+
+    def test_operation_order_is_fixed(self):
+        # reference: the exponential one rounded operation at a time on numpy
+        # scalars, in the order simulated datasets were first written with
+        rng = np.random.default_rng(23)
+        for q, scale in zip(random_quats(200, 24), np.logspace(-14, 2, 200)):
+            w = scale * rng.standard_normal(3)
+            w1, w2, w3 = w
+            q1, q2, q3, q4 = q
+            wn = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+            if wn < 1e-12:
+                c, k = 1.0, 0.5 * 0.01
+            else:
+                c, k = math.cos(0.5 * wn * 0.01), math.sin(0.5 * wn * 0.01) / wn
+            expected = normalize(
+                np.array(
+                    [
+                        c * q1 + k * (w3 * q2 - w2 * q3 + w1 * q4),
+                        c * q2 + k * (-w3 * q1 + w1 * q3 + w2 * q4),
+                        c * q3 + k * (w2 * q1 - w1 * q2 + w3 * q4),
+                        c * q4 + k * (-w1 * q1 - w2 * q2 - w3 * q3),
+                    ]
+                )
+            )
+            assert np.array_equal(integrate_step(q, w, 0.01), expected)
 
     def test_angle_accumulates_linearly(self):
         w = np.array([0.3, -0.2, 0.5])

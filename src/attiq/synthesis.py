@@ -14,6 +14,11 @@ gain to the other seven octants. It then solves the Riccati equation on
 every octant's own plant and refuses to emit gains when any octant's
 rotated gain or performance level disagrees with it, so a regression in
 either route or in the symmetry map cannot ship silently.
+
+The solver stack loads on first use: scipy.linalg when h2_norm,
+solve_h2_care or the LMI start point first runs, and sdp.py when
+solve_h2_lmi does. Importing this module, and loading or saving a gain
+file, needs only numpy, so ``attiq gen`` and ``attiq run`` never load scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 from .dataset import sensor_model_from_dict, sensor_model_to_dict
 from .plant import (
@@ -34,7 +38,6 @@ from .plant import (
     is_detectable,
     octant_rotation,
 )
-from .sdp import LmiBlock, full_basis, solve_sdp, sym_basis
 from .sim import DEFAULT_FIELD, DEFAULT_GRAVITY, NoiseParams
 
 GAIN_FORMAT_VERSION = 1
@@ -66,6 +69,13 @@ def default_design_noise(sample_rate: float = 150.0) -> NoiseParams:
     return NoiseParams(n_w=sensor.n_w, n_b=5e-2, n_a=sensor.n_a, n_m=sensor.n_m)
 
 
+def _lyapunov(a, q):
+    """Solve a X + X a^T = q with scipy, which loads on the first call."""
+    from scipy.linalg import solve_continuous_lyapunov
+
+    return solve_continuous_lyapunov(a, q)
+
+
 def h2_norm(acl, bcl, cz) -> float:
     """H2 norm of x' = acl x + bcl w, z = cz x; raises when not Hurwitz."""
     acl = np.atleast_2d(np.asarray(acl, dtype=float))
@@ -73,7 +83,7 @@ def h2_norm(acl, bcl, cz) -> float:
     cz = np.atleast_2d(np.asarray(cz, dtype=float))
     if np.linalg.eigvals(acl).real.max() >= 0.0:
         raise SynthesisError("closed loop is not Hurwitz; H2 norm is unbounded")
-    gram = solve_continuous_lyapunov(acl, -bcl @ bcl.T)
+    gram = _lyapunov(acl, -bcl @ bcl.T)
     return float(np.sqrt(max(np.trace(cz @ gram @ cz.T), 0.0)))
 
 
@@ -83,6 +93,8 @@ def solve_h2_care(plant: LinearErrorPlant):
     P is the stabilizing solution of a P + P a^T - P cy^T R^-1 cy P +
     bw bw^T = 0 with R = dw dw^T, and the gain is L = -P cy^T R^-1.
     """
+    from scipy.linalg import solve_continuous_are
+
     a, bw, cy, dw = plant.a, plant.bw, plant.cy, plant.dw
     if not is_detectable(a, cy):
         raise SynthesisError("(a, cy) is not detectable")
@@ -166,7 +178,7 @@ def _refine_stabilizer(plant: LinearErrorPlant, l0: np.ndarray) -> np.ndarray:
         acl, bcl = closed_loop(plant, l)
         w_cov = bcl @ bcl.T
         ridge = 1e-12 * np.linalg.norm(w_cov, 2) + 1e-300
-        p = solve_continuous_lyapunov(acl, -(w_cov + ridge * np.eye(acl.shape[0])))
+        p = _lyapunov(acl, -(w_cov + ridge * np.eye(acl.shape[0])))
         p = 0.5 * (p + p.T)
         l_new = -p @ cy.T @ rinv
         if not np.all(np.isfinite(l_new)):
@@ -185,7 +197,7 @@ def _feasible_start(plant: LinearErrorPlant, l0: np.ndarray):
     acl, bcl = closed_loop(plant, l0)
     w_cov = bcl @ bcl.T
     margin = 0.05 * np.linalg.norm(w_cov, 2) + 1e-12
-    p = solve_continuous_lyapunov(acl, -(w_cov + margin * np.eye(plant.n_states)))
+    p = _lyapunov(acl, -(w_cov + margin * np.eye(plant.n_states)))
     p = 0.5 * (p + p.T)
     x_mat = np.linalg.inv(p)
     x_mat = 0.5 * (x_mat + x_mat.T)
@@ -209,6 +221,8 @@ def solve_h2_lmi(plant: LinearErrorPlant):
     solve starts from a strictly feasible point built around the crude
     stabilizing gain of default_stabilizer.
     """
+    from .sdp import LmiBlock, full_basis, solve_sdp, sym_basis
+
     a, bw, cy, dw, cz = plant.a, plant.bw, plant.cy, plant.dw, plant.cz
     n = plant.n_states
     p_dim = cy.shape[0]

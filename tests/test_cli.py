@@ -2,14 +2,18 @@
 
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import solve_continuous_are
 
-from attiq import synthesis
+import attiq
 from attiq.cli import CliError, _parse_filters, load_scenario, main
 from attiq.dataset import read_dataset, sidecar_path
 from attiq.quat import euler_of_quat
@@ -154,7 +158,7 @@ class TestSynth:
             calls.append(args)
             return solve_continuous_are(*args)
 
-        monkeypatch.setattr(synthesis, "solve_continuous_are", counted)
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_are", counted)
         assert main(["synth", "--out", "g.json"]) == 0
         assert len(calls) == 8
 
@@ -355,3 +359,39 @@ class TestVerify:
         code = main(["verify", "--case", "V"])
         assert code == 2
         assert "unknown case" in capsys.readouterr().err
+
+
+# gen, dataset and gain-file reads and run need numpy only; synth loads scipy
+COLD_START_SCRIPT = """
+import sys
+
+from attiq.cli import main
+from attiq.dataset import read_dataset
+from attiq.synthesis import load_gains
+
+gains = sys.argv[1]
+assert main(["gen", "--case", "III", "--seed", "1", "--duration", "1", "--out", "d.csv"]) == 0
+read_dataset("d.csv")
+load_gains(gains)
+assert main(["run", "--dataset", "d.csv", "--gains", gains, "--out", "run"]) == 0
+assert "scipy" not in sys.modules
+assert main(["synth", "--out", "g.json"]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+class TestColdStart:
+    def test_only_synthesis_loads_scipy(self, workdir, gains_path):
+        # a fresh interpreter: this one has loaded scipy already
+        src = str(Path(attiq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START_SCRIPT, str(gains_path)],
+            cwd=workdir,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (workdir / "g.json").exists()

@@ -29,13 +29,19 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 
 def normalize(q: np.ndarray) -> np.ndarray:
-    """Scale to unit norm and canonicalize the sign so q4 >= 0."""
+    """Scale to unit norm and canonicalize the sign so q4 >= 0.
+
+    |q|^2 is summed left to right on Python floats. q @ q would go to the
+    BLAS dot product, whose order of summation and use of fused
+    multiply-adds depend on the BLAS build and the CPU.
+    """
     q = np.asarray(q, dtype=float)
-    nn = float(q @ q)
+    q1, q2, q3, q4 = q.tolist()
+    nn = q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4
     if nn == 0.0 or not math.isfinite(nn):
         raise ValueError("cannot normalize quaternion with zero or non-finite norm")
     q = q / math.sqrt(nn)
-    if q[3] < 0.0:
+    if q4 < 0.0:
         q = -q
     return q
 

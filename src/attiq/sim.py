@@ -320,9 +320,19 @@ def measure(
     n = len(q)
     c = dcm_of(q)
     w_m = w + b + noise.n_w * streams.gyro.standard_normal((n, 3))
-    a_m = c @ np.asarray(g, dtype=float) + noise.n_a * streams.accel.standard_normal((n, 3))
-    m_m = c @ np.asarray(h, dtype=float) + noise.n_m * streams.mag.standard_normal((n, 3))
+    a_m = _rotate(c, g) + noise.n_a * streams.accel.standard_normal((n, 3))
+    m_m = _rotate(c, h) + noise.n_m * streams.mag.standard_normal((n, 3))
     return w_m, a_m, m_m
+
+
+def _rotate(c: np.ndarray, v) -> np.ndarray:
+    """c @ v for (n, 3, 3) DCMs, summed column by column in a fixed order.
+
+    A matrix product goes to BLAS, whose order of summation and use of fused
+    multiply-adds depend on the BLAS build and the CPU.
+    """
+    v1, v2, v3 = (float(x) for x in v)
+    return c[:, :, 0] * v1 + c[:, :, 1] * v2 + c[:, :, 2] * v3
 
 
 @dataclass

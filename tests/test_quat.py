@@ -388,3 +388,14 @@ class TestNormalize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             normalize(np.zeros(4))
+
+    def test_norm_sum_order_is_fixed(self):
+        # reference: |q|^2 summed left to right, one rounded numpy-scalar
+        # operation at a time; dataset bytes rest on this order, which the
+        # BLAS dot product does not keep
+        for raw in np.random.default_rng(5).standard_normal((20000, 4)):
+            nn = raw[0] * raw[0] + raw[1] * raw[1] + raw[2] * raw[2] + raw[3] * raw[3]
+            expected = raw / math.sqrt(nn)
+            if expected[3] < 0.0:
+                expected = -expected
+            assert np.array_equal(normalize(raw), expected)

@@ -30,6 +30,12 @@ EDGES = {
 CASE_EDGES = [pytest.param(case, kw, id=f"{case}-{name}") for case in CASES for name, kw in EDGES.items()]
 
 
+def rotated(c, v):
+    # reference: c @ v summed column by column, one rounded numpy-scalar
+    # operation at a time; a BLAS product may sum in another order or fuse
+    return np.array([c[i, 0] * v[0] + c[i, 1] * v[1] + c[i, 2] * v[2] for i in range(3)])
+
+
 class TestNoiseParams:
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
@@ -159,8 +165,8 @@ class TestExactness:
         assert np.array_equal(ds.w_m, ds.w_true)
         for k in range(len(ds.t)):
             c = dcm_of(ds.q_true[k])
-            assert np.array_equal(ds.a_m[k], c @ g), k
-            assert np.array_equal(ds.m_m[k], c @ h), k
+            assert np.array_equal(ds.a_m[k], rotated(c, g)), k
+            assert np.array_equal(ds.m_m[k], rotated(c, h)), k
 
     def test_keyframes_match_per_sample_reference(self):
         # reference: the per-sample segment walk the array form replaces
@@ -194,6 +200,17 @@ class TestExactness:
 
 
 class TestMeasure:
+    def test_rotation_sum_order_is_fixed(self):
+        rng = np.random.default_rng(31)
+        q = rng.standard_normal((500, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        g, h = rng.standard_normal(3), rng.standard_normal(3)
+        _, a_m, m_m = measure(q, np.zeros((500, 3)), np.zeros((500, 3)), NoiseParams.zero(), SensorStreams(1), g, h)
+        for k, q_k in enumerate(q):
+            c = dcm_of(q_k)
+            assert np.array_equal(a_m[k], rotated(c, g)), k
+            assert np.array_equal(m_m[k], rotated(c, h)), k
+
     def test_noise_free_measurements_are_exact(self):
         ds = simulate_scenario(quiet_config("II", duration=2.0))
         np.testing.assert_allclose(ds.w_m, ds.w_true, atol=1e-15)
@@ -249,8 +266,8 @@ class TestMeasure:
         for k in range(cfg.n_samples):
             c = dcm_of(ds.q_true[k])
             w_m = ds.w_true[k] + ds.b_true[k] + noise.n_w * streams.gyro.standard_normal(3)
-            a_m = c @ g + noise.n_a * streams.accel.standard_normal(3)
-            m_m = c @ h + noise.n_m * streams.mag.standard_normal(3)
+            a_m = rotated(c, g) + noise.n_a * streams.accel.standard_normal(3)
+            m_m = rotated(c, h) + noise.n_m * streams.mag.standard_normal(3)
             assert np.array_equal(ds.w_m[k], w_m)
             assert np.array_equal(ds.a_m[k], a_m)
             assert np.array_equal(ds.m_m[k], m_m)

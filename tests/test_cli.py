@@ -384,7 +384,8 @@ class TestColdStart:
     def test_only_synthesis_loads_scipy(self, workdir, gains_path):
         # a fresh interpreter: this one has loaded scipy already
         src = str(Path(attiq.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
             [sys.executable, "-c", COLD_START_SCRIPT, str(gains_path)],
             cwd=workdir,

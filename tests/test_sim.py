@@ -205,7 +205,8 @@ class TestMeasure:
         q = rng.standard_normal((500, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         g, h = rng.standard_normal(3), rng.standard_normal(3)
-        _, a_m, m_m = measure(q, np.zeros((500, 3)), np.zeros((500, 3)), NoiseParams.zero(), SensorStreams(1), g, h)
+        zeros = np.zeros((500, 3))
+        _, a_m, m_m = measure(q, zeros, zeros, NoiseParams.zero(), SensorStreams(1), g, h)
         for k, q_k in enumerate(q):
             c = dcm_of(q_k)
             assert np.array_equal(a_m[k], rotated(c, g)), k

@@ -8,7 +8,9 @@ Conventions used throughout the package:
   vector v the body-frame coordinates are dcm_of(q) @ v.
 - quat_multiply satisfies dcm_of(a (x) b) = dcm_of(a) @ dcm_of(b), i.e.
   composition of frame transforms.
-- Kinematics: q_dot = 0.5 * omega_matrix(w) @ q with w the body angular rate.
+- Kinematics: q_dot = 0.5 * Omega(w) q with w the body angular rate, where
+  Omega(w) q = (w3 q2 - w2 q3 + w1 q4, -w3 q1 + w1 q3 + w2 q4,
+  w2 q1 - w1 q2 + w3 q4, -w1 q1 - w2 q2 - w3 q3).
 - q and -q encode the same attitude; normalization canonicalizes q4 >= 0.
 - Euler angles are aerospace Z-Y-X (yaw, pitch, roll), radians.
 """
@@ -53,28 +55,6 @@ def _check_unit(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def omega_matrix(w: np.ndarray) -> np.ndarray:
-    """4x4 rate matrix of the body angular velocity w = (wx, wy, wz).
-
-    Antisymmetric; omega_matrix(w) @ omega_matrix(w) == -|w|^2 * I, which gives
-    the closed-form exponential used in integrate_step.
-    """
-    wx, wy, wz = w
-    return np.array(
-        [
-            [0.0, wz, -wy, wx],
-            [-wz, 0.0, wx, wy],
-            [wy, -wx, 0.0, wz],
-            [-wx, -wy, -wz, 0.0],
-        ]
-    )
-
-
-def quat_derivative(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Attitude kinematics q_dot = 0.5 * Omega(w) @ q."""
-    return 0.5 * omega_matrix(w) @ np.asarray(q, dtype=float)
-
-
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Quaternion product a (x) b composing frame transforms.
 
@@ -93,12 +73,6 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             a4 * b4 - (a1 * b1 + a2 * b2 + a3 * b3),
         ]
     )
-
-
-def quat_inverse(q: np.ndarray) -> np.ndarray:
-    """Conjugate of a unit quaternion: the inverse frame transform."""
-    q = _check_unit(q)
-    return np.array([-q[0], -q[1], -q[2], q[3]])
 
 
 def dcm_of(q: np.ndarray) -> np.ndarray:
@@ -190,15 +164,14 @@ def renormalize(qraw: np.ndarray) -> np.ndarray:
     return np.array([d1, d2, d3, 1.0]) / math.sqrt(1.0 + nn)
 
 
-def integrate_step(q: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """Propagate q over dt at constant body rate w via the exact exponential.
+def _exp_step(q1, q2, q3, q4, w1, w2, w3, dt):
+    """integrate_step's arithmetic on Python floats, one rounded operation at
+    a time in a fixed order; returns the normalized quaternion as a 4-tuple.
 
-    expm(0.5 * Omega(w) * dt) = cos(a/2) I + sin(a/2)/|w| Omega(w), a = |w| dt;
-    applied here componentwise as c q + k Omega(w) q, on Python floats, which
-    round each operation as numpy scalars do at a fraction of the cost.
+    expm(0.5 * Omega(w) * dt) = cos(a/2) I + sin(a/2)/|w| Omega(w), a = |w| dt,
+    applied componentwise as c q + k Omega(w) q, then scaled to unit norm with
+    |p|^2 summed left to right and the sign canonicalized so q4 >= 0.
     """
-    q1, q2, q3, q4 = _check_unit(q).tolist()
-    w1, w2, w3 = np.asarray(w, dtype=float).tolist()
     wn = math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
     half = 0.5 * wn * dt
     if wn < 1e-12:
@@ -206,24 +179,44 @@ def integrate_step(q: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
         c, k = 1.0, 0.5 * dt
     else:
         c, k = math.cos(half), math.sin(half) / wn
-    return normalize(
-        np.array(
-            [
-                c * q1 + k * (w3 * q2 - w2 * q3 + w1 * q4),
-                c * q2 + k * (-w3 * q1 + w1 * q3 + w2 * q4),
-                c * q3 + k * (w2 * q1 - w1 * q2 + w3 * q4),
-                c * q4 + k * (-w1 * q1 - w2 * q2 - w3 * q3),
-            ]
-        )
-    )
+    p1 = c * q1 + k * (w3 * q2 - w2 * q3 + w1 * q4)
+    p2 = c * q2 + k * (-w3 * q1 + w1 * q3 + w2 * q4)
+    p3 = c * q3 + k * (w2 * q1 - w1 * q2 + w3 * q4)
+    p4 = c * q4 + k * (-w1 * q1 - w2 * q2 - w3 * q3)
+    nn = p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4
+    if nn == 0.0 or not math.isfinite(nn):
+        raise ValueError("cannot normalize quaternion with zero or non-finite norm")
+    s = math.sqrt(nn)
+    if p4 < 0.0:
+        return -(p1 / s), -(p2 / s), -(p3 / s), -(p4 / s)
+    return p1 / s, p2 / s, p3 / s, p4 / s
 
 
-def angular_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Rotation angle (rad) between two attitudes, sign-of-q invariant."""
-    a = _check_unit(a)
-    b = _check_unit(b)
-    d = min(1.0, abs(float(a @ b)))
-    return 2.0 * math.acos(d)
+def integrate_step(q: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
+    """Propagate q over dt at constant body rate w via the exact exponential.
+
+    The arithmetic is _exp_step's, on Python floats, which round each
+    operation as numpy scalars do at a fraction of the cost.
+    """
+    q1, q2, q3, q4 = _check_unit(q).tolist()
+    w1, w2, w3 = np.asarray(w, dtype=float).tolist()
+    return np.array(_exp_step(q1, q2, q3, q4, w1, w2, w3, dt))
+
+
+def integrate_sequence(q0: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
+    """Attitudes of the constant-rate recursion from q0 over the rates w (n, 3).
+
+    Returns q (n + 1, 4) with q[0] = q0 and, bit for bit,
+    q[k + 1] == integrate_step(q[k], w[k], dt). q0 is checked once; the
+    loop runs _exp_step on tuples and builds the array at the end.
+    """
+    q = tuple(_check_unit(q0).tolist())
+    dt = float(dt)
+    rows = [q]
+    for w1, w2, w3 in np.asarray(w, dtype=float).tolist():
+        q = _exp_step(*q, w1, w2, w3, dt)
+        rows.append(q)
+    return np.array(rows)
 
 
 def axis_quat(axis: int, angle: float) -> np.ndarray:

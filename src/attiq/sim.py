@@ -13,9 +13,9 @@ samples can track the truth to floating-point accuracy.
 
 Generation works on whole arrays. A case's Euler profile is a function of
 the time array, giving (n, 3) angles and rates; the body rates and the
-stacked DCMs of all samples are each one array expression. The only
-per-sample loop is the truth quaternion recursion, one quat.integrate_step
-per interval, the same step the filters propagate with.
+stacked DCMs of all samples are each one array expression. The truth
+quaternion recursion is one quat.integrate_sequence call, whose steps equal
+bit for bit the quat.integrate_step the filters propagate with.
 
 A Dataset holds one (n, k) array per quantity, one row per sample. Its
 w_true is None when it was read from a file, which does not store the truth
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quat import body_rates_from_euler, dcm_of, integrate_step, quat_of_euler
+from .quat import body_rates_from_euler, dcm_of, integrate_sequence, quat_of_euler
 
 DEFAULT_GRAVITY = (0.0, 0.0, 9.81)  # NED, m/s^2
 DEFAULT_FIELD = (22.5, 1.5, 42.0)  # NED, uT
@@ -279,7 +279,8 @@ def generate_truth(config: ScenarioConfig, streams: SensorStreams | None = None)
     Returns the arrays (t, q, w, b) of shapes (n,), (n, 4), (n, 3) and
     (n, 3). The quaternion sequence integrates the sampled rates exactly
     (constant rate over each interval), so consecutive samples are separated
-    by exactly |w_k| * dt of rotation: q[k + 1] == integrate_step(q[k], w[k], dt).
+    by exactly |w_k| * dt of rotation: q[k + 1] == integrate_step(q[k], w[k], dt),
+    all n steps taken by one quat.integrate_sequence call.
     """
     if streams is None:
         streams = SensorStreams(config.seed)
@@ -289,11 +290,10 @@ def generate_truth(config: ScenarioConfig, streams: SensorStreams | None = None)
     t = np.arange(n) * dt
     angles, rates = profile(t)
     w = body_rates_from_euler(angles, rates)
-    q = np.empty((n, 4))
-    q_k = quat_of_euler(*profile(np.zeros(1))[0][0])
-    for k in range(n):
-        q[k] = q_k
-        q_k = integrate_step(q_k, w[k], dt)
+    q0 = quat_of_euler(*profile(np.zeros(1))[0][0])
+    # the step over the last sample's rate ends after the last sample; [:n]
+    # drops it and keeps one row per sample for any n, 0 included
+    q = integrate_sequence(q0, w, dt)[:n]
 
     b0 = np.array(config.noise.b0, dtype=float)
     walk_std = config.noise.n_b * np.sqrt(dt)

@@ -25,7 +25,7 @@ from .filters import (
     select_octant,
 )
 from .plant import N_OCTANTS, LinearErrorPlant, build_plant
-from .quat import dcm_of, omega_matrix, quat_multiply, renormalize
+from .quat import dcm_of, integrate_step, quat_multiply, renormalize
 from .sim import NoiseParams, ScenarioConfig, simulate_scenario
 from .synthesis import (
     GainSchedule,
@@ -241,10 +241,23 @@ def _suite_renormalize(rng, n):
     return True
 
 
-def _suite_omega_antisymmetry(rng, n):
+def _suite_exp_step(rng, n):
+    # rates from 1e-14 rad/s (the series branch) to 1e2 rad/s; the step
+    # keeps unit norm, turns by |w| t, and two steps compose to one
     for _ in range(n):
-        om = omega_matrix(rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 2))
-        if not np.array_equal(om.T, -om):
+        q = rng.standard_normal(4)
+        q = q / np.linalg.norm(q)
+        w = rng.standard_normal(3) * 10.0 ** rng.uniform(-14, 2)
+        t1, t2 = rng.uniform(0.0, 0.05, 2)
+        q1 = integrate_step(q, w, t1)
+        q12 = integrate_step(q1, w, t2)
+        q2 = integrate_step(q, w, t1 + t2)
+        turn = np.cos(0.5 * np.linalg.norm(w) * t1)
+        if (
+            abs(np.linalg.norm(q1) - 1.0) > 1e-12
+            or abs(abs(float(q @ q1)) - abs(turn)) > 1e-12
+            or min(np.abs(q12 - q2).max(), np.abs(q12 + q2).max()) > 1e-12
+        ):
             return False
     return True
 
@@ -293,7 +306,7 @@ def _suite_determinism(rng, n):
 PROPERTY_SUITES = (
     ("quaternion homomorphism", 1, _suite_homomorphism),
     ("renormalization", 2, _suite_renormalize),
-    ("omega antisymmetry", 3, _suite_omega_antisymmetry),
+    ("exponential step", 3, _suite_exp_step),
     ("dataset round-trip", 4, _suite_dataset_roundtrip),
     ("determinism", 5, _suite_determinism),
 )

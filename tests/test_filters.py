@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,8 @@ from attiq.filters import (
 )
 from attiq.plant import OCTANT_TRIPLES, LinearErrorPlant, build_plant
 from attiq.quat import (
-    angular_distance,
     dcm_of,
     normalize,
-    quat_inverse,
     quat_multiply,
     quat_of_euler,
     renormalize,
@@ -34,6 +34,7 @@ from attiq.sim import (
     simulate_scenario,
 )
 from attiq.synthesis import default_design_noise, solve_h2_care, synthesize_schedule
+from quat_reference import angular_distance, quat_inverse
 
 G = np.array(DEFAULT_GRAVITY)
 H = np.array(DEFAULT_FIELD)
@@ -186,6 +187,37 @@ class TestConvergence:
         _, totals = attitude_errors(run.q_est, ds.q_true)
         assert np.degrees(totals[0]) == pytest.approx(20.0, abs=1e-6)
         assert np.degrees(totals[ds.t >= 5.0]).max() < 1.0
+
+
+class TestMagneticDisturbance:
+    """Case III, seed 1, with +15 uT on body-x of m_m for 4 <= t < 9 s: a
+    magnetic anomaly while pitch sweeps through the vertical. The bound is
+    on the last second, just after the window."""
+
+    @pytest.fixture(scope="class")
+    def disturbed(self):
+        ds = simulate_scenario(ScenarioConfig.for_case("III", seed=1))
+        m_m = ds.m_m.copy()
+        m_m[(ds.t >= 4.0) & (ds.t < 9.0), 0] += 15.0
+        return replace(ds, m_m=m_m)
+
+    @staticmethod
+    def last_second_max_deg(ds, run):
+        _, totals = attitude_errors(run.q_est, ds.q_true)
+        return np.degrees(totals[ds.t >= ds.config.duration - 1.0]).max()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the octant schedule locks about 180 deg off after this "
+        "disturbance (ROADMAP: octant schedule locks on Case III)",
+    )
+    def test_h2_recovers(self, disturbed, schedule):
+        run = run_filter(disturbed, "h2", schedule=schedule)
+        assert self.last_second_max_deg(disturbed, run) < 10.0
+
+    def test_ekf_recovers(self, disturbed):
+        run = run_filter(disturbed, "ekf")
+        assert self.last_second_max_deg(disturbed, run) < 10.0
 
 
 class TestEkf:

@@ -6,7 +6,8 @@ body-frame gravity/field directions against the vector measurements, and
 fold a small-angle correction quaternion back into the estimate.
 
 - The scheduled filter applies a constant precomputed gain per attitude
-  octant (see synthesis.py); the step cost is one matrix-vector product.
+  octant (see synthesis.py), chosen by the nearest of the four octant
+  centers; the step cost is one matrix-vector product.
 - The extended Kalman filter propagates a 6x6 error covariance and solves
   for its gain online; it is the baseline the scheduled filter is
   benchmarked against.
@@ -14,15 +15,16 @@ fold a small-angle correction quaternion back into the estimate.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import OCTANT_TRIPLES
+from .plant import CENTER_AXIS, CENTER_OCTANT
 from .quat import (
+    _check_unit,
     dcm_of,
-    euler_of_quat,
     integrate_step,
     normalize,
     quat_multiply,
@@ -34,15 +36,14 @@ from .quat import (
 from .sim import Dataset, NoiseParams
 from .synthesis import GainSchedule
 
-HYSTERESIS = 0.05  # rad, per-axis octant switching band
+HYSTERESIS = 0.05  # rad, octant switching band
 # initial EKF error standard deviations: attitude (rad) and gyro bias (rad/s)
 INITIAL_ATT_STD = 0.1
 INITIAL_BIAS_STD = 0.01
 
-_TRIPLE_TO_OCTANT = {
-    tuple(angle > 1.0 for angle in triple): idx
-    for idx, triple in enumerate(OCTANT_TRIPLES)
-}
+# lead of the new center's quaternion component over the held one at
+# HYSTERESIS past the quarter turn of a single-axis rotation
+_SWITCH_MARGIN = math.sqrt(2.0) * math.sin(HYSTERESIS / 2.0)
 
 
 @dataclass
@@ -81,29 +82,20 @@ def triad_attitude(a_m, m_m, g, h) -> np.ndarray:
 
 
 def select_octant(q, prev: int | None = None) -> int:
-    """Scheduling octant of an attitude, with per-axis switching hysteresis.
+    """Scheduling octant of an attitude: the one at its nearest center.
 
-    Each roll/pitch/yaw angle snaps to the 0 or pi half of its circle; a
-    previous octant keeps the old half until the angle moves past the
-    quarter-turn boundary by the hysteresis band, so a trajectory riding a
-    roll or yaw boundary does not chatter between gains. The band does not
-    help at pitch +-90 deg: crossing it flips roll and yaw by 180 deg, so
-    pitch alternating between 89.95 and 90.05 deg still selects octants
-    0, 6, 0, 6, ...
+    The nearest of the four centers (identity and the three half-turns) is
+    the quaternion component of largest magnitude; ties go to the identity.
+    A previous octant is kept until another center's component leads its
+    center's by more than HYSTERESIS is worth on a single-axis rotation, so
+    a trajectory riding the quarter turn between two centers does not
+    chatter between gains, whichever axis it turns about.
     """
-    angles = euler_of_quat(q)
-    if prev is None:
-        flipped_prev = (False, False, False)
-    else:
-        flipped_prev = tuple(angle > 1.0 for angle in OCTANT_TRIPLES[prev])
-    flipped = []
-    for angle, was_flipped in zip(angles, flipped_prev):
-        border = np.pi / 2.0
-        if was_flipped:
-            flipped.append(abs(angle) >= border - HYSTERESIS)
-        else:
-            flipped.append(abs(angle) > border + (HYSTERESIS if prev is not None else 0.0))
-    return _TRIPLE_TO_OCTANT[tuple(flipped)]
+    mags = [abs(c) for c in _check_unit(q).tolist()]
+    best = max((3, 0, 1, 2), key=mags.__getitem__)
+    if prev is None or mags[best] - mags[CENTER_AXIS[prev]] > _SWITCH_MARGIN:
+        return CENTER_OCTANT[best]
+    return prev
 
 
 def _fold_correction(q_pred, b, dx):
@@ -291,7 +283,7 @@ def run_filter(
     dt = config.dt
     q_est = np.zeros((n, 4))
     b_est = np.zeros((n, 3))
-    octants = np.zeros(n, dtype=int) if method == "h2" else None
+    octants = np.zeros(n, dtype=np.int8) if method == "h2" else None
     step_ns = np.zeros(n, dtype=np.int64)
     skipped = np.zeros(n, dtype=bool)
 

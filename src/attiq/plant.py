@@ -6,9 +6,11 @@ error and the gyro noise, while the vector observations (gravity and
 magnetic field rotated into the body frame) see the attitude error through
 the cross-product of the predicted body-frame reference vectors.
 
-The scheduling grid is the eight sign octants of roll/pitch/yaw; each
-octant center is one of four physical attitudes (identity and the three
-half-turns), reached twice by different angle triples.
+The scheduling grid is eight octants, each named by a roll/pitch/yaw
+triple of 0s and pis. Their centers are only four physical attitudes: the
+identity and the half-turns about x, y and z, each reached by two triples.
+One quaternion component of each center is +-1, so the nearest center of
+an attitude is its component of largest magnitude.
 """
 
 from __future__ import annotations
@@ -33,6 +35,21 @@ OCTANT_TRIPLES = (
 )
 
 N_OCTANTS = len(OCTANT_TRIPLES)
+
+# index, among (q1, q2, q3, q4), of the +-1 component of each octant center
+CENTER_AXIS = tuple(
+    int(np.argmax(np.abs(quat_of_euler(*triple)))) for triple in OCTANT_TRIPLES
+)
+# the octant scheduled at each center, indexed like CENTER_AXIS: of the two
+# octants there, the one with zero pitch
+CENTER_OCTANT = tuple(
+    next(
+        k
+        for k, triple in enumerate(OCTANT_TRIPLES)
+        if CENTER_AXIS[k] == axis and triple[1] == 0.0
+    )
+    for axis in range(4)
+)
 
 
 def octant_rotation(octant: int) -> np.ndarray:

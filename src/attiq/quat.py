@@ -50,7 +50,8 @@ def normalize(q: np.ndarray) -> np.ndarray:
 
 def _check_unit(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    if abs(np.dot(q, q) - 1.0) > 1e-6:
+    # written so that a NaN norm fails too
+    if not abs(np.dot(q, q) - 1.0) <= 1e-6:
         raise ValueError(f"quaternion is not unit norm: |q|^2 = {np.dot(q, q)!r}")
     return q
 
@@ -111,7 +112,7 @@ def dcm_of(q: np.ndarray) -> np.ndarray:
 def _dcm_stack(q: np.ndarray) -> np.ndarray:
     """dcm_of's expression evaluated over a stack of quaternions (..., 4)."""
     norm_err = np.abs(np.sum(q * q, axis=-1) - 1.0)
-    if np.any(norm_err > 1e-6):
+    if not np.all(norm_err <= 1e-6):
         raise ValueError(f"quaternion is not unit norm: max ||q|^2 - 1| = {norm_err.max()!r}")
     q1, q2, q3, q4 = np.moveaxis(q, -1, 0)
     s11, s22, s33, s44 = q1 * q1, q2 * q2, q3 * q3, q4 * q4
@@ -232,22 +233,6 @@ def quat_of_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return quat_multiply(
         axis_quat(0, roll), quat_multiply(axis_quat(1, pitch), axis_quat(2, yaw))
     )
-
-
-def euler_of_quat(q: np.ndarray) -> np.ndarray:
-    """Z-Y-X Euler angles (roll, pitch, yaw) of a unit quaternion.
-
-    Pitch is in [-pi/2, pi/2]; roll and yaw are in (-pi, pi]. Uses the five
-    direction-cosine entries atan2(C12, C22), -asin(C02), atan2(C01, C00).
-    """
-    q = _check_unit(q)
-    q1, q2, q3, q4 = q
-    s11, s22, s33, s44 = q1 * q1, q2 * q2, q3 * q3, q4 * q4
-    c02 = 2.0 * (q1 * q3 - q4 * q2)
-    roll = math.atan2(2.0 * (q2 * q3 + q4 * q1), s44 - s11 - s22 + s33)
-    pitch = -math.asin(min(1.0, max(-1.0, c02)))
-    yaw = math.atan2(2.0 * (q1 * q2 + q4 * q3), s44 + s11 - s22 - s33)
-    return np.array([roll, pitch, yaw])
 
 
 def quat_of_dcm(c: np.ndarray) -> np.ndarray:

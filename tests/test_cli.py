@@ -16,13 +16,13 @@ from scipy.linalg import solve_continuous_are
 import attiq
 from attiq.cli import CliError, _parse_filters, load_scenario, main
 from attiq.dataset import read_dataset, sidecar_path
-from attiq.quat import euler_of_quat
 from attiq.synthesis import (
     default_design_noise,
     load_gains,
     save_gains,
     synthesize_schedule,
 )
+from quat_reference import euler_of_quat
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

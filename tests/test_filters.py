@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from attiq.filters import (
+    HYSTERESIS,
     EkfState,
     H2State,
     attitude_errors,
@@ -17,7 +18,14 @@ from attiq.filters import (
     select_octant,
     triad_attitude,
 )
-from attiq.plant import OCTANT_TRIPLES, LinearErrorPlant, build_plant
+from attiq.plant import (
+    CENTER_AXIS,
+    N_OCTANTS,
+    OCTANT_TRIPLES,
+    LinearErrorPlant,
+    build_plant,
+    octant_rotation,
+)
 from attiq.quat import (
     dcm_of,
     normalize,
@@ -128,6 +136,62 @@ class TestSelectOctant:
             octant = new
         assert changes == 2
         assert octant == OCTANT_OF[(0.0, 0.0, 0.0)]
+
+
+class TestNearestCenter:
+    # lead of one center's quaternion component over another's at HYSTERESIS
+    # past the quarter turn of a single-axis rotation
+    MARGIN = np.sin((PI / 2 + HYSTERESIS) / 2) - np.cos((PI / 2 + HYSTERESIS) / 2)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            select_octant(np.array([np.nan, 0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="unit norm"):
+            select_octant(np.array([0.0, 0.0, 0.0, np.nan]), prev=0)
+
+    def test_pitch_ninety_crossings_do_not_chatter(self):
+        octant = select_octant(quat_of_euler(0.1, np.radians(89.95), -0.2))
+        seen = set()
+        for k in range(40):
+            pitch = np.radians(89.95 if k % 2 == 0 else 90.05)
+            octant = select_octant(quat_of_euler(0.1, pitch, -0.2), prev=octant)
+            seen.add(octant)
+        assert len(seen) == 1
+
+    def test_without_history_picks_the_nearest_center(self):
+        rng = np.random.default_rng(31)
+        q = rng.standard_normal((10_000, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        centers = np.array([octant_rotation(k) for k in range(N_OCTANTS)])
+        # trace(R^T C) = 1 + 2 cos(angle between the attitudes)
+        closeness = np.einsum("kij,nij->nk", centers, dcm_of(q))
+        for q_n, close_n in zip(q, closeness):
+            octant = select_octant(q_n)
+            assert octant in (0, 1, 3, 6)
+            assert close_n[octant] >= close_n.max() - 1e-12
+
+    def test_with_history_switches_only_past_the_margin(self):
+        rng = np.random.default_rng(32)
+        held = switched = 0
+        for _ in range(5000):
+            # near the quarter turn between two random centers
+            q = np.zeros(4)
+            i, j = rng.choice(4, size=2, replace=False)
+            q[i], q[j] = rng.choice([-1.0, 1.0], size=2)
+            q += 0.05 * rng.standard_normal(4)
+            q /= np.linalg.norm(q)
+            prev = int(rng.integers(N_OCTANTS))
+            mags = np.abs(q)
+            lead = mags.max() - mags[CENTER_AXIS[prev]]
+            octant = select_octant(q, prev=prev)
+            if octant == prev:
+                held += lead > 0.0
+                assert lead <= self.MARGIN
+            else:
+                switched += 1
+                assert lead > self.MARGIN
+                assert mags[CENTER_AXIS[octant]] == mags.max()
+        assert held > 100 and switched > 100
 
 
 class TestNoiselessTracking:

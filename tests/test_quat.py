@@ -8,7 +8,6 @@ from attiq.quat import (
     axis_quat,
     body_rates_from_euler,
     dcm_of,
-    euler_of_quat,
     integrate_sequence,
     integrate_step,
     normalize,
@@ -19,7 +18,7 @@ from attiq.quat import (
     small_angle_quat,
     skew,
 )
-from quat_reference import angular_distance, quat_inverse
+from quat_reference import angular_distance, euler_of_quat, quat_inverse
 
 
 def random_quats(n, seed):
@@ -107,6 +106,13 @@ class TestQuatMultiply:
         with pytest.raises(ValueError):
             quat_multiply(np.array([1.0, 1.0, 0.0, 0.0]), np.array([0, 0, 0, 1.0]))
 
+    def test_rejects_nan(self):
+        nan_q = np.array([np.nan, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="unit norm"):
+            quat_multiply(nan_q, np.array([0, 0, 0, 1.0]))
+        with pytest.raises(ValueError, match="unit norm"):
+            quat_multiply(np.array([0, 0, 0, 1.0]), nan_q)
+
 
 class TestQuatInverse:
     def test_inverse_composes_to_identity(self):
@@ -161,6 +167,16 @@ class TestDcm:
     def test_stack_rejects_non_unit_row(self):
         q = np.array(random_quats(5, 18))
         q[3] *= 1.1
+        with pytest.raises(ValueError, match="unit norm"):
+            dcm_of(q)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            dcm_of(np.array([np.nan, 0.0, 0.0, 1.0]))
+
+    def test_stack_rejects_nan_row(self):
+        q = np.array(random_quats(5, 19))
+        q[2, 0] = np.nan
         with pytest.raises(ValueError, match="unit norm"):
             dcm_of(q)
 

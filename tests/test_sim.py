@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attiq import sim
-from attiq.quat import dcm_of, euler_of_quat, integrate_step
+from attiq.quat import dcm_of, integrate_step
 from attiq.sim import (
     CASE_DEFAULTS,
     CASES,
@@ -13,7 +13,7 @@ from attiq.sim import (
     measure,
     simulate_scenario,
 )
-from quat_reference import angular_distance
+from quat_reference import angular_distance, euler_of_quat
 
 
 def quiet_config(case, seed=1, **kw):

@@ -43,11 +43,7 @@ CENTER_AXIS = tuple(
 # the octant scheduled at each center, indexed like CENTER_AXIS: of the two
 # octants there, the one with zero pitch
 CENTER_OCTANT = tuple(
-    next(
-        k
-        for k, triple in enumerate(OCTANT_TRIPLES)
-        if CENTER_AXIS[k] == axis and triple[1] == 0.0
-    )
+    next(k for k in range(N_OCTANTS) if CENTER_AXIS[k] == axis and OCTANT_TRIPLES[k][1] == 0.0)
     for axis in range(4)
 )
 

@@ -1,10 +1,13 @@
-"""Linearized attitude/bias error dynamics used for gain synthesis.
+"""Linearized attitude/bias error model shared by both filters.
 
 State is the 6-vector (attitude error angle, gyro bias error). About a
 hover/nominal-rate operating point the attitude error integrates the bias
 error and the gyro noise, while the vector observations (gravity and
 magnetic field rotated into the body frame) see the attitude error through
-the cross-product of the predicted body-frame reference vectors.
+the cross-product of the predicted body-frame reference vectors. Gain
+synthesis takes the model at each octant center (build_plant), the EKF over
+one sample interval (sampled_model) with its measurement_matrix at every
+predicted attitude.
 
 The scheduling grid is eight octants, each named by a roll/pitch/yaw
 triple of 0s and pis. Their centers are only four physical attitudes: the
@@ -15,7 +18,7 @@ an attitude is its component of largest magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +71,6 @@ class LinearErrorPlant:
     cy: np.ndarray
     dw: np.ndarray
     cz: np.ndarray
-    octant: int = 0
 
     def __post_init__(self):
         self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -117,6 +119,37 @@ def is_detectable(a, c, tol: float = 1e-8) -> bool:
     return True
 
 
+def measurement_matrix(g_body, h_body) -> np.ndarray:
+    """cy at predicted body-frame gravity and field directions."""
+    cy = np.zeros((6, 6))
+    cy[:3, :3] = skew(g_body)
+    cy[3:, :3] = skew(h_body)
+    return cy
+
+
+def error_model(noise: NoiseParams):
+    """(a, bw, dw) of the error model at zero rate for the given noise levels."""
+    a = np.zeros((6, 6))
+    a[:3, 3:] = -np.eye(3)
+    bw = np.diag([-noise.n_w] * 3 + [noise.n_b] * 3)
+    dw = np.diag([noise.n_a] * 3 + [noise.n_m] * 3)
+    return a, bw, dw
+
+
+@dataclass
+class SampledModel:
+    """The error model over one sample interval dt, as the EKF propagates it."""
+
+    phi: np.ndarray  # transition at zero rate, I + a dt
+    qd: np.ndarray  # process noise covariance, bw bw^T dt
+    r: np.ndarray  # measurement noise covariance, dw dw^T
+
+
+def sampled_model(noise: NoiseParams, dt: float) -> SampledModel:
+    a, bw, dw = error_model(noise)
+    return SampledModel(np.eye(6) + a * dt, bw @ bw.T * dt, dw @ dw.T)
+
+
 def build_plant(
     noise: NoiseParams,
     octant: int = 0,
@@ -142,12 +175,5 @@ def build_plant(
         )
 
     r = octant_rotation(octant)
-    eye3 = np.eye(3)
-    zero3 = np.zeros((3, 3))
-
-    a = np.block([[zero3, -eye3], [zero3, zero3]])
-    bw = np.block([[-noise.n_w * eye3, zero3], [zero3, noise.n_b * eye3]])
-    cy = np.block([[skew(r @ g), zero3], [skew(r @ h), zero3]])
-    dw = np.block([[noise.n_a * eye3, zero3], [zero3, noise.n_m * eye3]])
-    cz = np.eye(6)
-    return LinearErrorPlant(a=a, bw=bw, cy=cy, dw=dw, cz=cz, octant=octant)
+    a, bw, dw = error_model(noise)
+    return LinearErrorPlant(a, bw, measurement_matrix(r @ g, r @ h), dw, np.eye(6))

@@ -21,8 +21,6 @@ import math
 
 import numpy as np
 
-UNIT_TOL = 1e-9
-
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix: skew(v) @ u == np.cross(v, u)."""

@@ -25,14 +25,15 @@ REPORT_SCHEMA_VERSION = 1
 PUBLIC_NAMES = {"h2": "extended_h2", "ekf": "ekf"}
 INTERNAL_NAMES = {v: k for k, v in PUBLIC_NAMES.items()}
 
-# per-case accuracy gates mirroring the benchmark's headline claims; the
-# report marks each one pass/fail when its inputs are present
+# gates of the benchmark's headline claims, which the acceptance criteria
+# read too: per-case accuracy passes below its threshold, the step-time ratio
+# at or below; the report marks each one whose inputs are present
 CASE_CHECKS = {
-    "III": [("extended_h2", "pitch_rms_deg", 0.5)],
-    "IV": [
-        ("extended_h2", "total_rms_deg", 1.0),
-        ("ekf", "total_rms_deg", 1.0),
-    ],
+    "III": {("extended_h2", "pitch_rms_deg"): 0.5},
+    "IV": {
+        ("extended_h2", "total_rms_deg"): 1.0,
+        ("ekf", "total_rms_deg"): 1.0,
+    },
 }
 TIMING_RATIO_THRESHOLD = 0.75  # extended_h2 / ekf median step time
 
@@ -40,24 +41,25 @@ TIMING_RATIO_THRESHOLD = 0.75  # extended_h2 / ekf median step time
 def _run_checks(case: str, by_method: dict[str, dict], ratio) -> list[dict]:
     checks = []
 
-    def add(name, measured, threshold):
+    def add(name, measured, threshold, passed):
         checks.append(
             {
                 "name": name,
                 "measured": float(measured),
                 "threshold": float(threshold),
-                "passed": bool(measured < threshold),
+                "passed": bool(passed),
             }
         )
 
-    for method, metric, threshold in CASE_CHECKS.get(case, []):
+    for (method, metric), threshold in CASE_CHECKS.get(case, {}).items():
         if method not in by_method:
             continue
         f = by_method[method]
         value = f["rms_axis_deg"][1] if metric == "pitch_rms_deg" else f["rms_total_deg"]
-        add(f"case_{case}_{method}_{metric}", value, threshold)
+        add(f"case_{case}_{method}_{metric}", value, threshold, value < threshold)
     if ratio is not None:
-        add("median_step_ratio_h2_over_ekf", ratio, TIMING_RATIO_THRESHOLD)
+        passed = ratio <= TIMING_RATIO_THRESHOLD
+        add("median_step_ratio_h2_over_ekf", ratio, TIMING_RATIO_THRESHOLD, passed)
     return checks
 
 

@@ -21,7 +21,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtri
 
 
-# initial barrier weight and its growth factor per outer iteration
+# largest initial barrier weight and its growth factor per outer iteration
 T0 = 1.0
 MU = 20.0
 
@@ -171,7 +171,11 @@ def solve_sdp(
     if factors is None:
         raise SdpError("x0 is not strictly feasible")
 
-    t = T0
+    # start where the centering step from x0 is shortest; starts past T0 can stall
+    grad, hess = bar.grad_hess(factors)
+    h_inv_c = _solve_newton_system(hess, c)
+    t_star = -float(grad @ h_inv_c) / max(float(c @ h_inv_c), 1e-300)
+    t = min(T0, t_star) if t_star > 0.0 else T0
     newton_total = 0
     centered = None  # last iterate Newton actually centered, with its gap
     for outer in range(1, max_outer + 1):

@@ -219,9 +219,9 @@ def solve_h2_lmi(plant: LinearErrorPlant):
     trace(Q), so gamma = sqrt(trace Q) at the optimum. Process and
     measurement noises enter as separate disturbance columns. The barrier
     solve starts from a strictly feasible point built around the crude
-    stabilizing gain of default_stabilizer.
+    stabilizing gain of default_stabilizer; SynthesisError when it fails.
     """
-    from .sdp import LmiBlock, full_basis, solve_sdp, sym_basis
+    from .sdp import LmiBlock, SdpError, full_basis, solve_sdp, sym_basis
 
     a, bw, cy, dw, cz = plant.a, plant.bw, plant.cy, plant.dw, plant.cz
     n = plant.n_states
@@ -271,7 +271,10 @@ def solve_h2_lmi(plant: LinearErrorPlant):
         c_obj[len(ex) + len(ew) + k] = np.trace(e)
 
     x0 = _feasible_start(plant, default_stabilizer(plant))
-    result = solve_sdp(c_obj, [LmiBlock(f0_1, c1), LmiBlock(f0_2, c2)], x0=x0)
+    try:
+        result = solve_sdp(c_obj, [LmiBlock(f0_1, c1), LmiBlock(f0_2, c2)], x0=x0)
+    except SdpError as exc:
+        raise SynthesisError(f"LMI route failed: {exc}") from None
 
     x_mat = np.tensordot(result.x[: len(ex)], ex, axes=1)
     w_mat = np.tensordot(result.x[len(ex) : len(ex) + len(ew)], ew, axes=1)

@@ -8,12 +8,12 @@ measurement misses the stated tolerance or runtime budget.
 import pytest
 
 from attiq import verify
-from attiq.synthesis import default_design_noise
+from attiq.synthesis import default_design_noise, synthesize_schedule
 
 
 @pytest.fixture(scope="module")
 def schedule():
-    return verify.default_schedule()
+    return synthesize_schedule(default_design_noise())
 
 
 @pytest.fixture(scope="module")

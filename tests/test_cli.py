@@ -179,6 +179,26 @@ class TestSynth:
         assert code == 2
         assert "sigma" in capsys.readouterr().err
 
+    def test_retuned_bias_noise_synthesizes(self, workdir, capsys):
+        # twice the default n_b; the barrier used to stall on its first centering
+        (workdir / "noise.json").write_text('{"n_b": 0.1}')
+        assert main(["synth", "--config", "noise.json", "--out", "g.json"]) == 0
+        assert load_gains(workdir / "g.json").noise.n_b == 0.1
+        resids = [
+            float(line.split()[-1])
+            for line in capsys.readouterr().out.splitlines()
+            if line and line.split()[0].isdigit()
+        ]
+        assert len(resids) == 8 and max(resids) < 1e-3
+
+    def test_lmi_route_failure_refused(self, workdir, capsys):
+        (workdir / "noise.json").write_text('{"n_w": 0.1, "n_a": 1.0}')
+        code = main(["synth", "--config", "noise.json", "--out", "g.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "LMI route" in err
+        assert not (workdir / "g.json").exists()
+
     @pytest.mark.parametrize("config", ['{"g": 5}', '{"h": [1, 2]}'])
     def test_config_malformed_reference_vector_named(self, workdir, capsys, config):
         (workdir / "noise.json").write_text(config)

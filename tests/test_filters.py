@@ -5,14 +5,12 @@ import pytest
 
 from attiq.filters import (
     HYSTERESIS,
-    EkfState,
     H2State,
     attitude_errors,
     ekf_step,
     evaluate_run,
     h2_step,
     initial_ekf_state,
-    initial_h2_state,
     predict_measurement,
     run_filter,
     select_octant,
@@ -24,7 +22,9 @@ from attiq.plant import (
     OCTANT_TRIPLES,
     LinearErrorPlant,
     build_plant,
+    measurement_matrix,
     octant_rotation,
+    sampled_model,
 )
 from attiq.quat import (
     dcm_of,
@@ -32,7 +32,6 @@ from attiq.quat import (
     quat_multiply,
     quat_of_euler,
     renormalize,
-    skew,
 )
 from attiq.sim import (
     DEFAULT_FIELD,
@@ -246,8 +245,7 @@ class TestConvergence:
         half = np.deg2rad(20.0) / 2.0
         dq = np.array([*(np.sin(half) * axis), np.cos(half)])
         q0 = renormalize(quat_multiply(dq, ds.q_true[0]))
-        state = H2State(q=q0, b=np.zeros(3), octant=select_octant(q0))
-        run = run_filter(ds, "h2", schedule=schedule, initial_state=state)
+        run = run_filter(ds, "h2", schedule=schedule, q0=q0)
         _, totals = attitude_errors(run.q_est, ds.q_true)
         assert np.degrees(totals[0]) == pytest.approx(20.0, abs=1e-6)
         assert np.degrees(totals[ds.t >= 5.0]).max() < 1.0
@@ -287,10 +285,10 @@ class TestMagneticDisturbance:
 class TestEkf:
     def test_covariance_stays_symmetric_psd(self):
         ds = simulate_scenario(ScenarioConfig.for_case("II", seed=4))
-        noise = default_design_noise(150.0)
-        state = initial_ekf_state(ds.a_m[0], ds.m_m[0], G, H)
+        model = sampled_model(default_design_noise(150.0), DT)
+        state = initial_ekf_state(triad_attitude(ds.a_m[0], ds.m_m[0], G, H))
         for k in range(1, len(ds.t)):
-            state = ekf_step(state, ds.w_m[k - 1], ds.a_m[k], ds.m_m[k], noise, DT, G, H)
+            state = ekf_step(state, ds.w_m[k - 1], ds.a_m[k], ds.m_m[k], model, DT, G, H)
             assert np.max(np.abs(state.p - state.p.T)) < 1e-10
         assert np.linalg.eigvalsh(state.p).min() > -1e-12
 
@@ -301,26 +299,17 @@ class TestEkf:
         # rescaled plant; agreement tightens as dt -> 0
         noise = NoiseParams(n_w=1.07e-2, n_b=5e-2, n_a=9.8e-2, n_m=0.6)
         dt = 1.0 / 600.0
-        state = EkfState(
-            q=np.array([0.0, 0.0, 0.0, 1.0]),
-            b=np.zeros(3),
-            p=np.diag([0.1**2] * 3 + [0.01**2] * 3),
-        )
+        model = sampled_model(noise, dt)
+        state = initial_ekf_state(np.array([0.0, 0.0, 0.0, 1.0]))
         a_m, m_m = ideal_vectors(state.q)
         for _ in range(8000):
-            state = ekf_step(state, np.zeros(3), a_m, m_m, noise, dt, G, H)
+            state = ekf_step(state, np.zeros(3), a_m, m_m, model, dt, G, H)
 
-        f = np.zeros((6, 6))
-        f[:3, 3:] = -np.eye(3)
-        phi = np.eye(6) + f * dt
-        qd = np.diag([noise.n_w**2 * dt] * 3 + [noise.n_b**2 * dt] * 3)
-        p_pred = phi @ state.p @ phi.T + qd
+        # at zero rate the EKF's transition is the plant's
+        p_pred = model.phi @ state.p @ model.phi.T + model.qd
         y_pred = predict_measurement(state.q, G, H)
-        jac = np.zeros((6, 6))
-        jac[:3, :3] = skew(y_pred[:3])
-        jac[3:, :3] = skew(y_pred[3:])
-        r = np.diag([noise.n_a**2] * 3 + [noise.n_m**2] * 3)
-        k_inf = p_pred @ jac.T @ np.linalg.inv(jac @ p_pred @ jac.T + r)
+        jac = measurement_matrix(y_pred[:3], y_pred[3:])
+        k_inf = p_pred @ jac.T @ np.linalg.inv(jac @ p_pred @ jac.T + model.r)
 
         plant = build_plant(noise)
         rescaled = LinearErrorPlant(
@@ -360,11 +349,27 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="reference vectors"):
             run_filter(ds, "h2", schedule=schedule)
 
-    def test_initial_state_type_checked(self, schedule):
+    @pytest.mark.parametrize("method", ["h2", "ekf"])
+    def test_q0_starts_the_filter(self, method, schedule):
         ds = simulate_scenario(static_config(1, duration=1.0))
-        bad = initial_ekf_state(ds.a_m[0], ds.m_m[0], G, H)
-        with pytest.raises(ValueError, match="H2State"):
-            run_filter(ds, "h2", schedule=schedule, initial_state=bad)
+        q0 = renormalize(quat_of_euler(0.3, -0.2, 2.5))
+        run = run_filter(ds, method, schedule=schedule, q0=q0)
+        assert np.array_equal(run.q_est[0], q0)
+        assert np.array_equal(run.b_est[0], np.zeros(3))
+        if method == "h2":
+            assert run.octants[0] == select_octant(q0)
+        default = run_filter(ds, method, schedule=schedule)
+        triad = triad_attitude(ds.a_m[0], ds.m_m[0], G, H)
+        assert np.array_equal(default.q_est[0], triad)
+
+    @pytest.mark.parametrize(
+        "q0", [[0.0, 0.0, 0.0, 1.1], [np.nan, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+    )
+    @pytest.mark.parametrize("method", ["h2", "ekf"])
+    def test_bad_q0_rejected(self, method, q0, schedule):
+        ds = simulate_scenario(static_config(1, duration=1.0))
+        with pytest.raises(ValueError, match="unit norm|shape"):
+            run_filter(ds, method, schedule=schedule, q0=np.array(q0))
 
     def test_first_sample_must_be_finite(self, schedule):
         for channel in ("a_m", "m_m"):

@@ -3,14 +3,17 @@
 import copy
 import importlib.resources
 import json
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
 
+from attiq import verify
 from attiq.filters import attitude_errors, evaluate_run, run_filter
 from attiq.report import (
     REPORT_SCHEMA_VERSION,
+    TIMING_RATIO_THRESHOLD,
     TRACE_COLUMNS,
     build_report,
     format_report,
@@ -120,6 +123,22 @@ class TestBuildReport:
         names = {c["name"] for c in rep["checks"]}
         assert "case_IV_extended_h2_total_rms_deg" in names
         assert "case_IV_ekf_total_rms_deg" in names
+
+    @pytest.mark.parametrize("extra_ns, passed", [(0, True), (1, False)])
+    def test_ratio_gate_shared_with_criterion_3(self, dataset, runs, monkeypatch, extra_ns, passed):
+        # at exactly the threshold both the report and criterion 3 pass
+        n = len(dataset.t)
+        step_ns = {
+            "h2": np.full(n, TIMING_RATIO_THRESHOLD * 1000 + extra_ns),
+            "ekf": np.full(n, 1000),
+        }
+        timed = {m: [replace(runs[m][0], step_ns=ns)] for m, ns in step_ns.items()}
+        (check,) = [c for c in build_report(dataset, timed)["checks"] if "ratio" in c["name"]]
+        assert check["measured"] == TIMING_RATIO_THRESHOLD + extra_ns / 1000
+        assert check["passed"] is passed
+        monkeypatch.setattr(verify, "simulate_scenario", lambda config: dataset)
+        monkeypatch.setattr(verify, "run_filter", lambda ds, method, **kw: timed[method][0])
+        assert verify.criterion_3_timing(None, None).passed is passed
 
     def test_rms_values_nonnegative(self, report):
         for f in report["filters"]:

@@ -36,7 +36,7 @@ from .quat import (
     small_angle_quat,
 )
 from .sim import Dataset, NoiseParams
-from .synthesis import GainSchedule
+from .synthesis import GainSchedule, default_design_noise
 
 HYSTERESIS = 0.05  # rad, octant switching band
 # initial EKF error standard deviations: attitude (rad) and gyro bias (rad/s)
@@ -234,9 +234,10 @@ def run_filter(
     corrects with sample k's vector measurements. Non-finite input degrades
     the step and flags it in the result: when a_m[k] or m_m[k] is non-finite
     the step propagates only (the EKF propagates its covariance too); when
-    w_m[k-1] is non-finite the state is held. The EKF needs a noise model
-    with positive intensities; when the dataset was generated noise-free the
-    consumer grade default at the dataset rate is used instead.
+    w_m[k-1] is non-finite the state is held. The EKF is tuned with
+    noise_model, which defaults to default_design_noise at the dataset
+    rate, the design noise of the default gain schedule; every intensity
+    must be positive.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -271,9 +272,7 @@ def run_filter(
         propagate = partial(h2_propagate, dt=dt)
     else:
         if noise_model is None:
-            noise_model = config.noise
-        if min(noise_model.n_w, noise_model.n_b, noise_model.n_a, noise_model.n_m) <= 0.0:
-            noise_model = NoiseParams.mpu9250(config.sample_rate)
+            noise_model = default_design_noise(config.sample_rate)
         params = sampled_model(noise_model, dt)
         octants = None
         init, step = initial_ekf_state, ekf_step

@@ -128,7 +128,14 @@ def measurement_matrix(g_body, h_body) -> np.ndarray:
 
 
 def error_model(noise: NoiseParams):
-    """(a, bw, dw) of the error model at zero rate for the given noise levels."""
+    """(a, bw, dw) of the error model at zero rate for the given noise levels.
+
+    Requires strictly positive noise intensities: they scale the disturbance
+    channels, and a zero one leaves a channel undriven or unweighted.
+    """
+    for name in ("n_w", "n_b", "n_a", "n_m"):
+        if getattr(noise, name) <= 0.0:
+            raise ValueError(f"{name} must be > 0 in the error model")
     a = np.zeros((6, 6))
     a[:3, 3:] = -np.eye(3)
     bw = np.diag([-noise.n_w] * 3 + [noise.n_b] * 3)
@@ -158,13 +165,11 @@ def build_plant(
 ) -> LinearErrorPlant:
     """Error model at one octant center for the given sensor noise levels.
 
-    Requires strictly positive noise intensities (they scale the disturbance
-    channels) and non-parallel gravity/field directions (otherwise rotation
-    about the common axis is unobservable).
+    Requires strictly positive noise intensities (see error_model) and
+    non-parallel gravity/field directions (otherwise rotation about the
+    common axis is unobservable).
     """
-    for name in ("n_w", "n_b", "n_a", "n_m"):
-        if getattr(noise, name) <= 0.0:
-            raise ValueError(f"{name} must be > 0 for gain synthesis")
+    a, bw, dw = error_model(noise)
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     cross = np.linalg.norm(np.cross(g, h))
@@ -175,5 +180,4 @@ def build_plant(
         )
 
     r = octant_rotation(octant)
-    a, bw, dw = error_model(noise)
     return LinearErrorPlant(a, bw, measurement_matrix(r @ g, r @ h), dw, np.eye(6))

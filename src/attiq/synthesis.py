@@ -158,42 +158,8 @@ def default_stabilizer(plant: LinearErrorPlant) -> np.ndarray:
     raise SynthesisError("no default stabilizing gain for this plant")
 
 
-def _refine_stabilizer(plant: LinearErrorPlant, l0: np.ndarray) -> np.ndarray:
-    """Improve a stabilizing gain by successive output-injection updates.
-
-    Each round solves one Lyapunov equation for the disturbance covariance
-    of the current closed loop and re-injects through the measurement
-    channel; iterates stay stabilizing, so any round can be kept. A crude
-    seed gain can leave nearly marginal closed-loop modes whose covariance
-    is huge, which makes a terrible barrier starting point; a few rounds of
-    this fix the scaling at negligible cost.
-    """
-    cy, dw = plant.cy, plant.dw
-    try:
-        rinv = np.linalg.inv(dw @ dw.T)
-    except np.linalg.LinAlgError:
-        return l0
-    l = l0
-    for _ in range(8):
-        acl, bcl = closed_loop(plant, l)
-        w_cov = bcl @ bcl.T
-        ridge = 1e-12 * np.linalg.norm(w_cov, 2) + 1e-300
-        p = _lyapunov(acl, -(w_cov + ridge * np.eye(acl.shape[0])))
-        p = 0.5 * (p + p.T)
-        l_new = -p @ cy.T @ rinv
-        if not np.all(np.isfinite(l_new)):
-            break
-        if np.linalg.eigvals(plant.a + l_new @ cy).real.max() >= 0.0:
-            break
-        if np.linalg.norm(l_new - l) <= 1e-9 * max(np.linalg.norm(l), 1.0):
-            return l_new
-        l = l_new
-    return l
-
-
 def _feasible_start(plant: LinearErrorPlant, l0: np.ndarray):
     """Strictly feasible (X, W, Q) coordinates from one Lyapunov solve."""
-    l0 = _refine_stabilizer(plant, l0)
     acl, bcl = closed_loop(plant, l0)
     w_cov = bcl @ bcl.T
     margin = 0.05 * np.linalg.norm(w_cov, 2) + 1e-12

@@ -14,8 +14,10 @@ import scipy.linalg
 from scipy.linalg import solve_continuous_are
 
 import attiq
-from attiq.cli import CliError, _parse_filters, load_scenario, main
+from attiq.cli import CliError, _parse_filters, main
 from attiq.dataset import read_dataset, sidecar_path
+from attiq.sdp import SdpError
+from attiq.sim import NoiseParams
 from attiq.synthesis import (
     default_design_noise,
     load_gains,
@@ -37,9 +39,7 @@ def gains_path(tmp_path_factory):
 
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
-    """Isolated cwd so the repo's pinned configs are not picked up."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("ATTIQ_CONFIG_DIR", raising=False)
     return tmp_path
 
 
@@ -85,54 +85,21 @@ class TestGen:
         assert "(150 rows)" in out
         assert "sha256" in out
 
-    def test_config_dir_env_pins_scenario(self, workdir, monkeypatch):
-        cfgdir = workdir / "confs"
-        cfgdir.mkdir()
-        base = load_scenario("I", seed=99, rate=None, duration=1.0)
-        from attiq.dataset import config_to_dict
-
-        (cfgdir / "case_I.json").write_text(json.dumps(config_to_dict(base)))
-        monkeypatch.setenv("ATTIQ_CONFIG_DIR", str(cfgdir))
-        path = gen(workdir, "--case", "I")
-        assert read_dataset(path).config.seed == 99
-
-    def test_config_unknown_key_named(self, workdir, monkeypatch, capsys):
-        cfgdir = workdir / "confs"
-        cfgdir.mkdir()
-        (cfgdir / "case_I.json").write_text('{"bogus_knob": 1}')
-        monkeypatch.setenv("ATTIQ_CONFIG_DIR", str(cfgdir))
-        code = main(["gen", "--case", "I", "--out", "x.csv"])
-        assert code == 2
-        assert "bogus_knob" in capsys.readouterr().err
-
-
-class TestLoadScenario:
-    def test_repo_configs_pin_seeds(self, monkeypatch):
-        # from the repo root the pinned config supplies the seed
+    @pytest.mark.parametrize("rate", [None, 300.0])
+    def test_scenario_independent_of_working_directory(self, workdir, monkeypatch, rate):
+        # Case II: a seed other than 1 once came from the working directory
+        args = ["gen", "--case", "II", "--duration", "1"]
+        if rate is not None:
+            args += ["--rate", str(rate)]
         monkeypatch.chdir(REPO_ROOT)
-        monkeypatch.delenv("ATTIQ_CONFIG_DIR", raising=False)
-        cfg = load_scenario("III", seed=None, rate=None, duration=None)
-        assert cfg.case == "III"
-        assert cfg.seed == 3
-
-    def test_overrides_replace_fields(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        monkeypatch.delenv("ATTIQ_CONFIG_DIR", raising=False)
-        cfg = load_scenario("III", seed=11, rate=300.0, duration=2.0)
-        assert (cfg.seed, cfg.sample_rate, cfg.duration) == (11, 300.0, 2.0)
-        # pinned config keeps its noise; only the requested fields change
-        base = load_scenario("III", seed=None, rate=None, duration=None)
-        assert cfg.noise == base.noise
-
-    def test_case_mismatch_detected(self, tmp_path, monkeypatch):
-        from attiq.dataset import config_to_dict
-        from attiq.sim import ScenarioConfig
-
-        wrong = config_to_dict(ScenarioConfig.for_case("II", seed=1))
-        (tmp_path / "case_I.json").write_text(json.dumps(wrong))
-        monkeypatch.setenv("ATTIQ_CONFIG_DIR", str(tmp_path))
-        with pytest.raises(CliError, match="case II, not I"):
-            load_scenario("I", seed=None, rate=None, duration=None)
+        assert main([*args, "--out", str(workdir / "root.csv")]) == 0
+        monkeypatch.chdir(workdir)
+        assert main([*args, "--out", "tmp.csv"]) == 0
+        assert (workdir / "root.csv").read_bytes() == (workdir / "tmp.csv").read_bytes()
+        config = read_dataset(workdir / "tmp.csv").config
+        assert config.seed == 1
+        # the rate-dependent noise follows the rate
+        assert config.noise == NoiseParams.mpu9250(rate or 150.0)
 
 
 class TestSynth:
@@ -191,9 +158,12 @@ class TestSynth:
         ]
         assert len(resids) == 8 and max(resids) < 1e-3
 
-    def test_lmi_route_failure_refused(self, workdir, capsys):
-        (workdir / "noise.json").write_text('{"n_w": 0.1, "n_a": 1.0}')
-        code = main(["synth", "--config", "noise.json", "--out", "g.json"])
+    def test_lmi_route_failure_refused(self, workdir, monkeypatch, capsys):
+        def stalled(*args, **kwargs):
+            raise SdpError("barrier stalled")
+
+        monkeypatch.setattr("attiq.sdp.solve_sdp", stalled)
+        code = main(["synth", "--out", "g.json"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "LMI route" in err
@@ -263,6 +233,18 @@ class TestRun:
         assert [f["method"] for f in report["filters"]] == ["ekf"]
         assert report["timing_ratio_h2_over_ekf"] is None
         assert not (workdir / "solo" / "trace_extended_h2.csv").exists()
+        # without --gains the EKF is tuned with the default schedule's design noise
+        code = main(
+            ["run", "--dataset", str(dataset), "--filters", "ekf", "--gains",
+             str(gains_path), "--out", "tuned"]
+        )
+        assert code == 0
+        tuned = json.loads((workdir / "tuned" / "report.json").read_text())
+
+        def accuracy(entry):
+            return {k: v for k, v in entry.items() if not k.endswith("_step_ns")}
+
+        assert accuracy(report["filters"][0]) == accuracy(tuned["filters"][0])
 
     def test_h2_alias_accepted(self, workdir, gains_path):
         dataset = gen(workdir, "--case", "I", "--seed", "2", "--duration", "2")

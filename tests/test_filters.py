@@ -349,6 +349,21 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="reference vectors"):
             run_filter(ds, "h2", schedule=schedule)
 
+    def test_ekf_defaults_to_design_noise(self):
+        # the dataset's own (datasheet) noise does not tune the EKF
+        ds = simulate_scenario(ScenarioConfig.for_case("II", seed=1, duration=2.0))
+        default = run_filter(ds, "ekf")
+        design = run_filter(ds, "ekf", noise_model=default_design_noise(150.0))
+        assert np.array_equal(default.q_est, design.q_est)
+        assert np.array_equal(default.b_est, design.b_est)
+
+    @pytest.mark.parametrize("field", ["n_w", "n_b", "n_a", "n_m"])
+    def test_ekf_zero_intensity_rejected(self, field):
+        ds = simulate_scenario(static_config(1, duration=1.0))
+        noise = replace(default_design_noise(150.0), **{field: 0.0})
+        with pytest.raises(ValueError, match=field):
+            run_filter(ds, "ekf", noise_model=noise)
+
     @pytest.mark.parametrize("method", ["h2", "ekf"])
     def test_q0_starts_the_filter(self, method, schedule):
         ds = simulate_scenario(static_config(1, duration=1.0))

@@ -116,6 +116,10 @@ def cmd_synth(args) -> int:
     print("octant  gamma      care_gain_resid")
     for octant, (gamma, resid) in enumerate(zip(schedule.gammas, schedule.care_mismatch)):
         print(f"{octant:>6d}  {gamma:<9.6f}  {resid:.3e}")
+    print(
+        f"lmi gap {schedule.lmi_gap:.3e}, {schedule.lmi_outer_iterations} outer "
+        f"and {schedule.lmi_newton_iterations} Newton iterations"
+    )
 
     out = Path(args.out) if args.out else Path("gains.json")
     save_gains(schedule, out)

@@ -266,9 +266,14 @@ class GainSchedule:
     noise: NoiseParams
     g: tuple
     h: tuple
-    # (8,) relative mismatch of each gain against its octant's Riccati gain,
-    # as synthesis measured it; gain files do not store it
+    # synthesis certificates, kept in memory only (gain files do not store
+    # them): (8,) relative mismatch of each gain against its octant's
+    # Riccati gain, and the octant-0 LMI solve's duality-gap bound and
+    # outer and Newton iteration counts
     care_mismatch: np.ndarray | None = None
+    lmi_gap: float | None = None
+    lmi_outer_iterations: int | None = None
+    lmi_newton_iterations: int | None = None
 
 
 def synthesize_schedule(
@@ -284,7 +289,7 @@ def synthesize_schedule(
     closed loop fails to be Hurwitz.
     """
     plants = [build_plant(noise, octant, g, h) for octant in range(N_OCTANTS)]
-    l0, gamma0, _ = solve_h2_lmi(plants[0])
+    l0, gamma0, lmi = solve_h2_lmi(plants[0])
     gains = np.zeros((N_OCTANTS, 6, 6))
     care_mismatch = np.zeros(N_OCTANTS)
     for octant, plant in enumerate(plants):
@@ -314,6 +319,9 @@ def synthesize_schedule(
         g=tuple(float(v) for v in g),
         h=tuple(float(v) for v in h),
         care_mismatch=care_mismatch,
+        lmi_gap=lmi.gap,
+        lmi_outer_iterations=lmi.outer_iterations,
+        lmi_newton_iterations=lmi.newton_iterations,
     )
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov, svdvals
+from scipy.linalg.lapack import dpotrf
 
 from attiq.sdp import (
     LmiBlock,
     _Barrier,
     SdpError,
+    _solve_newton_system,
     full_basis,
     solve_sdp,
     sym_basis,
@@ -136,6 +138,38 @@ class TestBarrierDerivatives:
         s = d[:, None] * (a @ a.T + 6.0 * np.eye(6)) * d[None, :]
         assert np.linalg.cond(s) >= 1e8
         self.check(*self.two_blocks(rng, s))
+
+
+class TestNewtonSystem:
+    """_solve_newton_system at the size of the attitude LMI (78 variables)."""
+
+    def test_spd_matches_numpy_solve(self):
+        rng = np.random.default_rng(31)
+        b = rng.standard_normal((78, 78))
+        hess = b @ b.T + 78.0 * np.eye(78)
+        rhs = rng.standard_normal(78)
+        step = _solve_newton_system(hess, rhs)
+        ref = np.linalg.solve(hess, rhs)
+        assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_singular_psd_takes_the_ridge(self):
+        # three zero rows and columns: the Cholesky factorization of hess
+        # itself breaks down, so only the ridge gives a step
+        rng = np.random.default_rng(32)
+        b = rng.standard_normal((78, 78))
+        b[:3] = 0.0
+        hess = b @ b.T
+        assert dpotrf(hess, lower=1)[1] > 0
+        rhs = hess @ rng.standard_normal(78)
+        step = _solve_newton_system(hess, rhs)
+        assert np.all(np.isfinite(step))
+        np.testing.assert_array_equal(step[:3], 0.0)
+        np.testing.assert_allclose(hess @ step, rhs, rtol=0.0, atol=1e-8 * np.abs(rhs).max())
+
+    def test_indefinite_raises(self):
+        hess = np.diag(np.where(np.arange(78) % 2 == 0, 1.0, -1.0))
+        with pytest.raises(SdpError, match="singular"):
+            _solve_newton_system(hess, np.ones(78))
 
 
 class TestSolverBehavior:

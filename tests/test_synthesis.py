@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,10 @@ from attiq.plant import N_OCTANTS, LinearErrorPlant, build_plant, closed_loop, o
 from attiq.quat import dcm_of, quat_of_euler
 from attiq.sim import NoiseParams
 from attiq.synthesis import (
+    CROSS_CHECK_TOL,
     GainFileError,
     SynthesisError,
+    care_cross_check,
     default_design_noise,
     default_stabilizer,
     gain_symmetry_transform,
@@ -113,6 +119,23 @@ class TestRouteAgreement:
         assert np.linalg.norm(l_lmi - l_care) / np.linalg.norm(l_care) < 1e-4
         assert gamma_lmi == pytest.approx(gamma_care, rel=1e-5)
 
+    def test_random_design_the_damped_step_stalled_on(self):
+        # one of 40 designs drawn with default_rng(0); a Newton step damped
+        # to 1 / (1 + lambda) stalled on its last centering at gap 1.4e-8
+        noise = NoiseParams(
+            n_w=1.7619101205280516,
+            n_b=2.441977537283041,
+            n_a=0.0011258280564161284,
+            n_m=1.0537566196510713,
+        )
+        plant = build_plant(noise, 0)
+        l_lmi, gamma_lmi, _ = solve_h2_lmi(plant)
+        mismatch, gamma_rel, attained_rel, abscissa = care_cross_check(plant, l_lmi, gamma_lmi)
+        assert mismatch <= CROSS_CHECK_TOL
+        assert gamma_rel <= CROSS_CHECK_TOL
+        assert attained_rel <= CROSS_CHECK_TOL
+        assert abscissa < 0.0
+
     def test_lmi_bound_is_achieved(self):
         plant = build_plant(NOISE, 0)
         l, gamma, _ = solve_h2_lmi(plant)
@@ -179,6 +202,50 @@ class TestSchedule:
         assert gamma_noisy > schedule.gammas[0]
 
 
+class TestLmiCertificate:
+    def test_default_design_certificate(self):
+        schedule = synthesize_schedule(default_design_noise(150.0))
+        # solve_sdp's gap target, with trace Q = gamma^2 as the objective
+        assert 0.0 < schedule.lmi_gap <= 1e-9 * max(1.0, schedule.gammas[0] ** 2)
+        assert schedule.lmi_outer_iterations >= 1
+        # a full-step line search takes 94 Newton steps here; the step
+        # damped to 1 / (1 + lambda) took 185
+        assert schedule.lmi_newton_iterations <= 110
+
+
+THREADS_SCRIPT = """
+import sys
+
+from attiq.synthesis import default_design_noise, synthesize_schedule
+
+schedule = synthesize_schedule(default_design_noise(150.0))
+sys.stdout.write(schedule.gains.tobytes().hex() + " " + schedule.gammas.tobytes().hex())
+"""
+
+
+class TestBlasThreading:
+    def test_gains_do_not_depend_on_openblas_threads(self):
+        src = str(Path(synthesis.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", None):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(name, None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", THREADS_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+
 class TestScheduleCrossCheck:
     def test_one_lmi_solve_and_a_riccati_solve_per_octant(self, monkeypatch):
         calls = {"lmi": 0, "care": 0}
@@ -214,6 +281,7 @@ class TestGainFile:
         loaded = load_gains(path)
         assert schedule.care_mismatch.shape == (N_OCTANTS,)
         assert loaded.care_mismatch is None
+        assert loaded.lmi_newton_iterations is None
         np.testing.assert_array_equal(loaded.gains, schedule.gains)
         np.testing.assert_array_equal(loaded.gammas, schedule.gammas)
         assert loaded.noise == schedule.noise

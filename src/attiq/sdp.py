@@ -30,8 +30,8 @@ MU = 20.0
 # threads a SYRK from about 4.3e5 of them on (measured on 2 cores), and a
 # threaded product wakes a worker thread whose spinning slows the calls
 # after it: one m x n^2 product per block made grad_hess about 3x slower
-# than under one thread. The slices also beat a batched matmul over each
-# block's rows, which took twice as long.
+# than under one thread. The slices also beat one batched matmul over each
+# block's rows, which took 1.5-2x as long.
 _HESS_SLICE_MULADDS = 2**18
 
 

@@ -6,7 +6,7 @@ Library layout:
 - attiq.sim        truth trajectories and IMU measurement synthesis
 - attiq.dataset    CSV + JSON dataset persistence
 - attiq.plant      linearized error-state plant construction
-- attiq.sdp        dense block-diagonal semidefinite solver (solver stack)
+- attiq.sdp        dense primal-dual LMI solver (solver stack)
 - attiq.synthesis  H2 gain synthesis (LMI route + Riccati oracle) and gain
                    files; its solves load the solver stack (sdp, scipy) on
                    first use

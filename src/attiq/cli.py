@@ -117,8 +117,8 @@ def cmd_synth(args) -> int:
     for octant, (gamma, resid) in enumerate(zip(schedule.gammas, schedule.care_mismatch)):
         print(f"{octant:>6d}  {gamma:<9.6f}  {resid:.3e}")
     print(
-        f"lmi gap {schedule.lmi_gap:.3e}, {schedule.lmi_outer_iterations} outer "
-        f"and {schedule.lmi_newton_iterations} Newton iterations"
+        f"lmi gap {schedule.lmi_gap:.3e}, {schedule.lmi_outer_iterations} "
+        f"interior-point iterations and {schedule.lmi_newton_iterations} Schur solves"
     )
 
     out = Path(args.out) if args.out else Path("gains.json")

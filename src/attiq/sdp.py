@@ -1,16 +1,21 @@
-"""Dense log-barrier interior-point solver for linear matrix inequalities.
+"""Dense primal-dual interior-point solver for linear matrix inequalities.
 
 Solves  minimize c^T x  subject to  F0 + sum_i x_i Fi < 0  (negative
-definite) over a list of symmetric blocks, with the log-det barrier
-method: Newton steps on  t c^T x - sum log det(-F(x))  for a
-geometrically increasing sequence of t, each with a backtracking line
-search that starts from the full step. The bound nu / t on the duality
-gap (nu = total cone dimension) is the termination certificate. There is
-no feasibility phase: the caller supplies a strictly feasible start.
+definite) over a list of symmetric blocks. With the slack S = -F(x), the
+dual problem is  maximize <F0, Z>  subject to  <Fi, Z> = -c_i  and Z >= 0,
+and c^T x - <F0, Z> = <Z, S> once Z is dual feasible.
+
+The method is Mehrotra's predictor-corrector along the HKM direction
+(Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996). The primal
+iterate stays strictly feasible from the caller's start x0, so S is always
+-F(x) itself; the dual iterate starts at Z = I and reaches feasibility along
+the way. Each iteration forms the Schur matrix once and solves it twice, for
+the predictor and for the corrector. The solve stops when both the gap
+<Z, S> and the dual residual c_i + <Fi, Z> are small.
 
 Everything is dense and deterministic. Problem sizes here are tens of
-variables and cone blocks of a few tens of rows, where Cholesky-based
-Newton steps are fast and robust.
+variables and cone blocks of a few tens of rows, where dense Cholesky
+factorizations are fast.
 """
 
 from __future__ import annotations
@@ -21,18 +26,15 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 
-# largest initial barrier weight and its growth factor per outer iteration
-T0 = 1.0
-MU = 20.0
-
-# The barrier Hessian sums products cols @ cols.T over column slices, each
-# with at most this many multiply-adds (m * m * columns). OpenBLAS 0.3.31
-# threads a SYRK from about 4.3e5 of them on (measured on 2 cores), and a
-# threaded product wakes a worker thread whose spinning slows the calls
-# after it: one m x n^2 product per block made grad_hess about 3x slower
-# than under one thread. The slices also beat one batched matmul over each
-# block's rows, which took 1.5-2x as long.
-_HESS_SLICE_MULADDS = 2**18
+# stop when <Z, S> <= REL_GAP * max(1, |c^T x|) and the dual residual is at
+# most REL_GAP * (1 + |c|)
+REL_GAP = 1e-9
+MAX_ITERATIONS = 100
+# each step goes this fraction of the way to the boundary of the cone
+STEP_TO_BOUNDARY = 0.98
+# x or Z this many times larger than at the start means the solve diverges:
+# the objective is unbounded below or the dual is infeasible
+DIVERGED = 1e12
 
 
 class SdpError(RuntimeError):
@@ -70,49 +72,9 @@ class LmiBlock:
 class SdpResult:
     x: np.ndarray
     value: float
-    gap: float  # certified duality-gap bound nu / t
-    outer_iterations: int
-    newton_iterations: int
-
-
-class _Barrier:
-    def __init__(self, blocks: list[LmiBlock]):
-        self.f0s = [b.f0 for b in blocks]
-        self.coeffs = [b.coeffs for b in blocks]
-        self.nu = sum(b.size for b in blocks)
-        self.m = blocks[0].n_vars
-        self.hess_cols = max(1, _HESS_SLICE_MULADDS // (self.m * self.m))
-
-    def chol(self, x):
-        """Cholesky factors of -F(x) per block, or None when infeasible."""
-        factors = []
-        for f0, fs in zip(self.f0s, self.coeffs):
-            s = -(f0 + np.tensordot(x, fs, axes=1))
-            try:
-                factors.append(np.linalg.cholesky(s))
-            except np.linalg.LinAlgError:
-                return None
-        return factors
-
-    def value(self, factors) -> float:
-        return -2.0 * sum(np.log(np.diag(l)).sum() for l in factors)
-
-    def grad_hess(self, factors):
-        grad = np.zeros(self.m)
-        hess = np.zeros((self.m, self.m))
-        for l, fs in zip(factors, self.coeffs):
-            # v[i] = L^-1 Fi L^-T, so grad_i = tr(v[i]), hess_ij = <v[i], v[j]>.
-            # One small triangular inverse plus stacked n x n products: a
-            # triangular solve against all m coefficients side by side is a
-            # wide TRSM that threaded BLAS runs an order of magnitude slower.
-            linv, _ = dtrtri(l, lower=1)
-            v = np.matmul(np.matmul(linv, fs), linv.T)
-            grad += v.diagonal(axis1=1, axis2=2).sum(axis=1)
-            flat = v.reshape(self.m, -1)
-            for j in range(0, flat.shape[1], self.hess_cols):
-                cols = flat[:, j : j + self.hess_cols]
-                hess += cols @ cols.T
-        return grad, hess
+    gap: float  # duality gap <Z, S> at x
+    outer_iterations: int  # interior-point iterations
+    newton_iterations: int  # Schur-system solves, two per iteration
 
 
 def _solve_newton_system(hess, rhs):
@@ -131,43 +93,46 @@ def _solve_newton_system(hess, rhs):
     raise SdpError("Newton system is numerically singular")
 
 
-def _newton(bar, c_vec, t, x, factors, tol=1e-10, max_iter=250):
-    """Center t*c^T x + barrier; returns (x, factors, converged, iterations)."""
-    phi = bar.value(factors)
-    for it in range(max_iter):
-        grad_phi, hess = bar.grad_hess(factors)
-        grad = t * c_vec + grad_phi
-        step = _solve_newton_system(hess, -grad)
-        lam2 = float(grad @ -step)
-        if lam2 <= 2.0 * tol:
-            return x, factors, True, it
-        # backtrack from the full step; bar.chol refuses points outside the cone
-        alpha = 1.0
-        slope = t * float(c_vec @ step)  # objective decrease evaluated
-        for _ in range(60):  # incrementally to dodge cancellation at large t
-            x_new = x + alpha * step
-            factors_new = bar.chol(x_new)
-            if factors_new is not None:
-                phi_new = bar.value(factors_new)
-                if alpha * slope + (phi_new - phi) <= -0.25 * alpha * lam2:
-                    break
-            alpha *= 0.5
-        else:
-            # line search exhausted: accept only if already well centered
-            return x, factors, lam2 <= 1e-6, it
-        x, factors, phi = x_new, factors_new, phi_new
-    return x, factors, False, max_iter
+def _chol(mats):
+    """Lower Cholesky factors of each matrix, or None when one is not PD."""
+    factors = []
+    for mat in mats:
+        l, info = dpotrf(mat, lower=1, clean=1)
+        if info != 0:
+            return None
+        factors.append(l)
+    return factors
 
 
-def solve_sdp(
-    c, blocks, *, x0, rel_gap: float = 1e-9, max_outer: int = 100
-) -> SdpResult:
+def _step_length(inv_factors, steps):
+    """Step a along d, capped at 1, that goes STEP_TO_BOUNDARY of the way to
+    where some L L^T + a d stops being positive definite; takes each L^-1."""
+    lam = 0.0
+    for linv, d in zip(inv_factors, steps):
+        lam = min(lam, np.linalg.eigvalsh(linv @ d @ linv.T)[0])
+    return 1.0 if lam >= -STEP_TO_BOUNDARY else -STEP_TO_BOUNDARY / lam
+
+
+def _halve_until_pd(alpha, point):
+    """Halve alpha until every matrix of point(alpha) is positive definite.
+
+    Returns alpha, the matrices and their Cholesky factors.
+    """
+    for _ in range(60):
+        mats = point(alpha)
+        factors = _chol(mats)
+        if factors is not None:
+            return alpha, mats, factors
+        alpha *= 0.5
+    raise SdpError("step stalled at the boundary of the cone")
+
+
+def solve_sdp(c, blocks, *, x0) -> SdpResult:
     """Minimize c^T x subject to every block being negative definite.
 
-    blocks is a list of LmiBlock. The barrier path starts at x0, which must
-    be strictly feasible. Raises SdpError when it is not, and when the
-    central path cannot be followed to a duality gap of
-    rel_gap * max(1, |c^T x|).
+    blocks is a list of LmiBlock; x0 must be strictly feasible. Raises
+    SdpError when it is not, when the iterates diverge, and when
+    MAX_ITERATIONS do not reach the REL_GAP tolerances.
     """
     c = np.asarray(c, dtype=float)
     if not blocks:
@@ -177,41 +142,78 @@ def solve_sdp(
             raise ValueError(
                 f"block has {b.n_vars} variable coefficients, objective has {c.size}"
             )
-    bar = _Barrier(blocks)
+
+    def slack(x):
+        return [-(b.f0 + np.tensordot(x, b.coeffs, axes=1)) for b in blocks]
+
+    def adjoint(mats):  # <Fi, M> summed over the blocks
+        return sum(np.tensordot(b.coeffs, m, axes=2) for b, m in zip(blocks, mats))
 
     x = np.array(x0, dtype=float)
-    factors = bar.chol(x)
-    if factors is None:
+    s = slack(x)
+    l_s = _chol(s)
+    if l_s is None:
         raise SdpError("x0 is not strictly feasible")
+    z = [np.eye(b.size) for b in blocks]
+    l_z = z  # the Cholesky factor of I is I
+    nu = sum(b.size for b in blocks)
+    x_limit = DIVERGED * max(1.0, np.abs(x).max())
+    resid_tol = REL_GAP * (1.0 + np.linalg.norm(c))
 
-    # start where the centering step from x0 is shortest; starts past T0 can stall
-    grad, hess = bar.grad_hess(factors)
-    h_inv_c = _solve_newton_system(hess, c)
-    t_star = -float(grad @ h_inv_c) / max(float(c @ h_inv_c), 1e-300)
-    t = min(T0, t_star) if t_star > 0.0 else T0
-    newton_total = 0
-    centered = None  # last iterate Newton actually centered, with its gap
-    for outer in range(1, max_outer + 1):
-        x, factors, ok, iters = _newton(bar, c, t, x, factors)
-        newton_total += iters
+    for it in range(MAX_ITERATIONS):
+        gap = sum(float(np.sum(zb * sb)) for zb, sb in zip(z, s))
         value = float(c @ x)
-        gap = bar.nu / t
-        target = rel_gap * max(1.0, abs(value))
-        if ok:
-            if gap <= target:
-                return SdpResult(x, value, gap, outer, newton_total)
-            centered = SdpResult(x.copy(), value, gap, outer, newton_total)
-        else:
-            # centering failed (float conditioning wall); the previous
-            # centered iterate keeps its certificate, use it if close enough
-            if centered is not None and centered.gap <= 1e-8 * max(
-                1.0, abs(centered.value)
-            ):
-                return centered
-            raise SdpError(f"Newton stalled with duality gap {gap:.3e}")
-        # never push t far past what the gap target requires
-        t = min(t * MU, bar.nu / (0.5 * target))
-    raise SdpError("barrier method did not reach the requested gap")
+        resid = np.linalg.norm(c + adjoint(z))
+        if gap <= REL_GAP * max(1.0, abs(value)) and resid <= resid_tol:
+            return SdpResult(x, value, gap, it, 2 * it)
+        if np.abs(x).max() > x_limit or max(np.abs(zb).max() for zb in z) > DIVERGED:
+            raise SdpError(
+                f"iterates diverge: unbounded objective or infeasible dual "
+                f"(gap {gap:.3e}, dual residual {resid:.3e})"
+            )
+
+        # Schur matrix M_ij = sum tr(Fi Z Fj S^-1) = <Gi, Gj>, Gi = Ls^-1 Fi Lz
+        schur = np.zeros((c.size, c.size))
+        ls_inv = [dtrtri(l, lower=1)[0] for l in l_s]
+        lz_inv = [dtrtri(l, lower=1)[0] for l in l_z]
+        for b, linv, lz in zip(blocks, ls_inv, l_z):
+            g = np.matmul(np.matmul(linv, b.coeffs), lz).reshape(c.size, -1)
+            schur += g @ g.T
+        s_inv = [linv.T @ linv for linv in ls_inv]
+
+        def direction(shift):
+            """Step with <Fi, Z + dZ> = -c_i: M dx = -c - <Fi, shift>,
+            dS = -F(dx) and dZ = shift - Z - Z dS S^-1, symmetrized."""
+            dx = _solve_newton_system(schur, -c - adjoint(shift))
+            ds = [-np.tensordot(dx, b.coeffs, axes=1) for b in blocks]
+            dz = []
+            for sh, zb, dsb, si in zip(shift, z, ds, s_inv):
+                d = sh - zb - zb @ dsb @ si
+                dz.append(0.5 * (d + d.T))
+            return dx, ds, dz, _step_length(ls_inv, ds), _step_length(lz_inv, dz)
+
+        # predictor: the affine-scaling step, aimed at <Z, S> = 0
+        dx, ds, dz, a_p, a_d = direction([np.zeros_like(zb) for zb in z])
+        gap_aff = sum(
+            float(np.sum((zb + a_d * dzb) * (sb + a_p * dsb)))
+            for zb, dzb, sb, dsb in zip(z, dz, s, ds)
+        )
+        sigma = min(1.0, max(gap_aff, 0.0) / gap) ** 3
+
+        # corrector: aim at sigma times the mean mu of <Z, S> and take out
+        # the predictor's second-order term dZ dS
+        mu = gap / nu
+        shift = [sigma * mu * si - dzb @ dsb @ si for si, dzb, dsb in zip(s_inv, dz, ds)]
+        dx, ds, dz, a_p, a_d = direction(shift)
+
+        a_p, s, l_s = _halve_until_pd(a_p, lambda a: slack(x + a * dx))
+        x = x + a_p * dx
+        a_d, z, l_z = _halve_until_pd(a_d, lambda a: [zb + a * dzb for zb, dzb in zip(z, dz)])
+
+    raise SdpError(
+        f"no convergence in {MAX_ITERATIONS} iterations "
+        f"(gap {gap:.3e}, dual residual {resid:.3e})"
+    )
 
 
 def sym_basis(n: int) -> np.ndarray:
@@ -224,11 +226,3 @@ def sym_basis(n: int) -> np.ndarray:
             e[j, i] = 1.0
             mats.append(e)
     return np.array(mats)
-
-
-def full_basis(rows: int, cols: int) -> np.ndarray:
-    """Basis (rows*cols, rows, cols) for general matrices, row-major order."""
-    mats = np.zeros((rows * cols, rows, cols))
-    for k in range(rows * cols):
-        mats[k, k // cols, k % cols] = 1.0
-    return mats

@@ -3,8 +3,9 @@
 Each correction gain minimizes the noise-to-error energy (H2) of the
 linearized estimation error dynamics. Two independent routes compute it:
 
-- a trace-minimizing linear matrix inequality solved with the interior
-  point solver in sdp.py, and
+- a trace-minimizing linear matrix inequality in P^-1, the gain-free
+  form of the filter Riccati inequality, solved with the primal-dual
+  interior-point solver in sdp.py, and
 - the stabilizing solution of the filter Riccati equation (scipy's
   solve_continuous_are).
 
@@ -87,6 +88,11 @@ def h2_norm(acl, bcl, cz) -> float:
     return float(np.sqrt(max(np.trace(cz @ gram @ cz.T), 0.0)))
 
 
+def _riccati_gain(plant: LinearErrorPlant, p: np.ndarray) -> np.ndarray:
+    """The filter gain L = -P cy^T R^-1 of an error covariance P, R = dw dw^T."""
+    return -p @ plant.cy.T @ np.linalg.inv(plant.dw @ plant.dw.T)
+
+
 def solve_h2_care(plant: LinearErrorPlant):
     """Riccati route: returns (gain, gamma, error covariance).
 
@@ -100,10 +106,9 @@ def solve_h2_care(plant: LinearErrorPlant):
         raise SynthesisError("(a, cy) is not detectable")
     if not is_detectable(a.T, bw.T):
         raise SynthesisError("(a, bw) is not stabilizable")
-    r_cov = dw @ dw.T
     try:
-        p = solve_continuous_are(a.T, cy.T, bw @ bw.T, r_cov)
-        l = -p @ cy.T @ np.linalg.inv(r_cov)
+        p = solve_continuous_are(a.T, cy.T, bw @ bw.T, dw @ dw.T)
+        l = _riccati_gain(plant, p)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SynthesisError(f"Riccati solve failed: {exc}") from None
     gamma = h2_norm(*closed_loop(plant, l), plant.cz)
@@ -159,82 +164,68 @@ def default_stabilizer(plant: LinearErrorPlant) -> np.ndarray:
 
 
 def _feasible_start(plant: LinearErrorPlant, l0: np.ndarray):
-    """Strictly feasible (X, W, Q) coordinates from one Lyapunov solve."""
+    """Strictly feasible (Y, Q) coordinates from one Lyapunov solve."""
     acl, bcl = closed_loop(plant, l0)
     w_cov = bcl @ bcl.T
     margin = 0.05 * np.linalg.norm(w_cov, 2) + 1e-12
     p = _lyapunov(acl, -(w_cov + margin * np.eye(plant.n_states)))
     p = 0.5 * (p + p.T)
-    x_mat = np.linalg.inv(p)
-    x_mat = 0.5 * (x_mat + x_mat.T)
-    w_mat = x_mat @ l0
+    y_mat = np.linalg.inv(p)
+    y_mat = 0.5 * (y_mat + y_mat.T)
     zpz = plant.cz @ p @ plant.cz.T
     q_mat = 1.1 * zpz + (0.1 * np.linalg.norm(zpz, 2) + 1e-12) * np.eye(zpz.shape[0])
-    n = plant.n_states
-    nz = plant.cz.shape[0]
-    x_coords = [x_mat[i, j] for i in range(n) for j in range(i, n)]
-    q_coords = [q_mat[i, j] for i in range(nz) for j in range(i, nz)]
-    return np.concatenate([x_coords, w_mat.ravel(), q_coords])
+    return np.concatenate(
+        [y_mat[np.triu_indices(len(y_mat))], q_mat[np.triu_indices(len(q_mat))]]
+    )
 
 
 def solve_h2_lmi(plant: LinearErrorPlant):
     """LMI route: returns (gain, gamma, solver result).
 
-    Variables are a symmetric certificate X, the transformed gain W = X L,
-    and a symmetric bound Q on the output covariance; the objective is
-    trace(Q), so gamma = sqrt(trace Q) at the optimum. Process and
-    measurement noises enter as separate disturbance columns. The barrier
-    solve starts from a strictly feasible point built around the crude
-    stabilizing gain of default_stabilizer; SynthesisError when it fails.
+    Variables are a symmetric certificate Y = P^-1 and a symmetric bound Q
+    on the output covariance cz P cz^T; the objective is trace(Q), so
+    gamma = sqrt(trace Q) at the optimum. With R = dw dw^T, the first block
+    is the filter Riccati inequality a P + P a^T - P cy^T R^-1 cy P +
+    bw bw^T < 0 multiplied by Y on both sides, so the gain does not enter
+    it (Boyd, El Ghaoui, Feron & Balakrishnan 1994); the gain is
+    L = -P cy^T R^-1 of the optimal P. The solve starts from a strictly
+    feasible point built around the crude stabilizing gain of
+    default_stabilizer; SynthesisError when it fails.
     """
-    from .sdp import LmiBlock, SdpError, full_basis, solve_sdp, sym_basis
+    from .sdp import LmiBlock, SdpError, solve_sdp, sym_basis
 
     a, bw, cy, dw, cz = plant.a, plant.bw, plant.cy, plant.dw, plant.cz
     n = plant.n_states
-    p_dim = cy.shape[0]
     qw = bw.shape[1]
-    qv = dw.shape[1]
     nz = cz.shape[0]
 
-    ex = sym_basis(n)
-    ew = full_basis(n, p_dim)
+    ey = sym_basis(n)
     eq = sym_basis(nz)
-    m = len(ex) + len(ew) + len(eq)
+    ny = len(ey)
+    m = ny + len(eq)
 
-    # block 1: [He(X a + W cy), X bw, W dw; *, -I, 0; *, 0, -I] < 0
-    n1 = n + qw + qv
+    # block 1: [Y a + a^T Y - cy^T R^-1 cy, Y bw; bw^T Y, -I] < 0
+    n1 = n + qw
     f0_1 = np.zeros((n1, n1))
-    f0_1[n : n + qw, n : n + qw] = -np.eye(qw)
-    f0_1[n + qw :, n + qw :] = -np.eye(qv)
+    f0_1[:n, :n] = -cy.T @ np.linalg.solve(dw @ dw.T, cy)
+    f0_1[n:, n:] = -np.eye(qw)
     c1 = np.zeros((m, n1, n1))
-    for k, e in enumerate(ex):
-        he = e @ a
-        c1[k, :n, :n] = he + he.T
-        eb = e @ bw
-        c1[k, :n, n : n + qw] = eb
-        c1[k, n : n + qw, :n] = eb.T
-    for k, f in enumerate(ew):
-        hf = f @ cy
-        idx = len(ex) + k
-        c1[idx, :n, :n] = hf + hf.T
-        fd = f @ dw
-        c1[idx, :n, n + qw :] = fd
-        c1[idx, n + qw :, :n] = fd.T
+    ya = ey @ a
+    c1[:ny, :n, :n] = ya + ya.transpose(0, 2, 1)
+    yb = ey @ bw
+    c1[:ny, :n, n:] = yb
+    c1[:ny, n:, :n] = yb.transpose(0, 2, 1)
 
-    # block 2: [-Q, cz; cz^T, -X] < 0, i.e. Q > cz X^-1 cz^T by Schur complement
+    # block 2: [-Q, cz; cz^T, -Y] < 0, i.e. Q > cz Y^-1 cz^T by Schur complement
     n2 = nz + n
     f0_2 = np.zeros((n2, n2))
     f0_2[:nz, nz:] = cz
     f0_2[nz:, :nz] = cz.T
     c2 = np.zeros((m, n2, n2))
-    for k, e in enumerate(ex):
-        c2[k, nz:, nz:] = -e
-    for k, e in enumerate(eq):
-        c2[len(ex) + len(ew) + k, :nz, :nz] = -e
+    c2[:ny, nz:, nz:] = -ey
+    c2[ny:, :nz, :nz] = -eq
 
-    c_obj = np.zeros(m)
-    for k, e in enumerate(eq):
-        c_obj[len(ex) + len(ew) + k] = np.trace(e)
+    c_obj = np.concatenate([np.zeros(ny), np.trace(eq, axis1=1, axis2=2)])
 
     x0 = _feasible_start(plant, default_stabilizer(plant))
     try:
@@ -242,9 +233,8 @@ def solve_h2_lmi(plant: LinearErrorPlant):
     except SdpError as exc:
         raise SynthesisError(f"LMI route failed: {exc}") from None
 
-    x_mat = np.tensordot(result.x[: len(ex)], ex, axes=1)
-    w_mat = np.tensordot(result.x[len(ex) : len(ex) + len(ew)], ew, axes=1)
-    l = np.linalg.solve(x_mat, w_mat)
+    y_mat = np.tensordot(result.x[:ny], ey, axes=1)
+    l = _riccati_gain(plant, np.linalg.inv(y_mat))
     gamma = float(np.sqrt(max(result.value, 0.0)))
     return l, gamma, result
 
@@ -268,8 +258,8 @@ class GainSchedule:
     h: tuple
     # synthesis certificates, kept in memory only (gain files do not store
     # them): (8,) relative mismatch of each gain against its octant's
-    # Riccati gain, and the octant-0 LMI solve's duality-gap bound and
-    # outer and Newton iteration counts
+    # Riccati gain, and the octant-0 LMI solve's duality gap <Z, S>, its
+    # interior-point iterations and its Schur-system solves
     care_mismatch: np.ndarray | None = None
     lmi_gap: float | None = None
     lmi_outer_iterations: int | None = None

@@ -147,7 +147,7 @@ class TestSynth:
         assert "sigma" in capsys.readouterr().err
 
     def test_retuned_bias_noise_synthesizes(self, workdir, capsys):
-        # twice the default n_b; the barrier used to stall on its first centering
+        # twice the default n_b; the log-barrier LMI solver once stalled on it
         (workdir / "noise.json").write_text('{"n_b": 0.1}')
         assert main(["synth", "--config", "noise.json", "--out", "g.json"]) == 0
         assert load_gains(workdir / "g.json").noise.n_b == 0.1
@@ -160,7 +160,7 @@ class TestSynth:
 
     def test_lmi_route_failure_refused(self, workdir, monkeypatch, capsys):
         def stalled(*args, **kwargs):
-            raise SdpError("barrier stalled")
+            raise SdpError("no convergence")
 
         monkeypatch.setattr("attiq.sdp.solve_sdp", stalled)
         code = main(["synth", "--out", "g.json"])

@@ -354,10 +354,16 @@ def evaluate_run(dataset: Dataset, run: FilterRun, *repetitions: FilterRun) -> S
 
     Accuracy and the skipped count come from `run`; step times (without the
     initialization step) are pooled over `run` and any further repetitions.
+    Raises ValueError when no step was timed, as on a one-sample dataset.
     """
+    steps = np.concatenate([r.step_ns[1:] for r in (run, *repetitions)]).astype(float)
+    if steps.size == 0:
+        raise ValueError(
+            f"no filter step to time: the dataset has {len(run.step_ns)} sample(s), "
+            "and the first only initializes the filter"
+        )
     comps, totals = attitude_errors(run.q_est, dataset.q_true)
     bias_err = run.b_est - dataset.b_true
-    steps = np.concatenate([r.step_ns[1:] for r in (run, *repetitions)]).astype(float)
     return ScenarioResult(
         method=run.method,
         rms_axis_deg=np.degrees(np.sqrt(np.mean(comps**2, axis=0))),

@@ -50,6 +50,9 @@ CENTER_OCTANT = tuple(
     for axis in range(4)
 )
 
+# relative tolerance of is_detectable's PBH test, scaled by max(|a|, |c|, 1)
+DETECTABILITY_TOL = 1e-8
+
 
 def octant_rotation(octant: int) -> np.ndarray:
     """Inertial-to-body DCM at the center attitude of an octant."""
@@ -104,17 +107,18 @@ def closed_loop(plant: LinearErrorPlant, l: np.ndarray):
     return acl, bcl
 
 
-def is_detectable(a, c, tol: float = 1e-8) -> bool:
+def is_detectable(a, c) -> bool:
     """PBH test: every eigenvalue of a with Re >= 0 is observable through c."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     n = a.shape[0]
-    scale = max(np.linalg.norm(a), np.linalg.norm(c), 1.0)
-    for lam in np.linalg.eigvals(a):
-        if lam.real < -tol * scale:
+    tol = DETECTABILITY_TOL * max(np.linalg.norm(a), np.linalg.norm(c), 1.0)
+    # a repeated eigenvalue has one pencil, so test each distinct one once
+    for lam in np.unique(np.linalg.eigvals(a)):
+        if lam.real < -tol:
             continue
         pencil = np.vstack([lam * np.eye(n) - a, c])
-        if np.linalg.svd(pencil, compute_uv=False)[-1] <= tol * scale:
+        if np.linalg.svd(pencil, compute_uv=False)[-1] <= tol:
             return False
     return True
 

@@ -104,7 +104,7 @@ def build_report(dataset: Dataset, runs_by_method: dict[str, list[FilterRun]]) -
 
 def save_report(report: dict, path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 

@@ -143,11 +143,19 @@ def solve_sdp(c, blocks, *, x0) -> SdpResult:
                 f"block has {b.n_vars} variable coefficients, objective has {c.size}"
             )
 
+    # each block's coefficients as one (m, n^2) matrix, so that sum_i x_i Fi
+    # and <Fi, M> are the products (1, m)(m, n^2) and (m, n^2)(n^2, 1)
+    flat = [b.coeffs.reshape(c.size, -1) for b in blocks]
+
+    def linear(x):  # sum_i x_i Fi, per block
+        row = x.reshape(1, -1)
+        return [np.dot(row, f).reshape(b.f0.shape) for b, f in zip(blocks, flat)]
+
     def slack(x):
-        return [-(b.f0 + np.tensordot(x, b.coeffs, axes=1)) for b in blocks]
+        return [-(b.f0 + fx) for b, fx in zip(blocks, linear(x))]
 
     def adjoint(mats):  # <Fi, M> summed over the blocks
-        return sum(np.tensordot(b.coeffs, m, axes=2) for b, m in zip(blocks, mats))
+        return sum(np.dot(f, m.reshape(-1, 1)).reshape(-1) for f, m in zip(flat, mats))
 
     x = np.array(x0, dtype=float)
     s = slack(x)
@@ -185,7 +193,7 @@ def solve_sdp(c, blocks, *, x0) -> SdpResult:
             """Step with <Fi, Z + dZ> = -c_i: M dx = -c - <Fi, shift>,
             dS = -F(dx) and dZ = shift - Z - Z dS S^-1, symmetrized."""
             dx = _solve_newton_system(schur, -c - adjoint(shift))
-            ds = [-np.tensordot(dx, b.coeffs, axes=1) for b in blocks]
+            ds = [-fx for fx in linear(dx)]
             dz = []
             for sh, zb, dsb, si in zip(shift, z, ds, s_inv):
                 d = sh - zb - zb @ dsb @ si

@@ -11,10 +11,14 @@ linearized estimation error dynamics. Two independent routes compute it:
 
 The error plant is rotation-equivariant, skew(R g) = R skew(g) R^T, so the
 schedule constructor solves the LMI once, at octant 0, and rotates that
-gain to the other seven octants. It then solves the Riccati equation on
-every octant's own plant and refuses to emit gains when any octant's
-rotated gain or performance level disagrees with it, so a regression in
-either route or in the symmetry map cannot ship silently.
+gain to the other seven octants. The eight octants name only four center
+attitudes, each twice (plant.CENTER_AXIS). The constructor solves the
+Riccati equation on the plant of each attitude's scheduled octant
+(plant.CENTER_OCTANT) and refuses to emit gains when that octant's rotated
+gain or performance level disagrees with it. The other octant at each
+attitude must have the same plant and rotated gain to within TWIN_TOL, and
+then shares the verdict. So a regression in either route or in the
+symmetry map cannot ship silently.
 
 The solver stack loads on first use: scipy.linalg when h2_norm,
 solve_h2_care or the LMI start point first runs, and sdp.py when
@@ -32,6 +36,8 @@ import numpy as np
 
 from .dataset import sensor_model_from_dict, sensor_model_to_dict
 from .plant import (
+    CENTER_AXIS,
+    CENTER_OCTANT,
     N_OCTANTS,
     LinearErrorPlant,
     build_plant,
@@ -45,6 +51,10 @@ GAIN_FORMAT_VERSION = 1
 
 # relative tolerance of the schedule's LMI/Riccati cross-check
 CROSS_CHECK_TOL = 1e-3
+# relative tolerance within which the two octants at one center attitude
+# must have the same measurement matrix cy and the same rotated gain; they
+# differ by rounding only, at most 2.3e-16 on the default design
+TWIN_TOL = 1e-12
 
 
 class SynthesisError(RuntimeError):
@@ -97,7 +107,10 @@ def solve_h2_care(plant: LinearErrorPlant):
     """Riccati route: returns (gain, gamma, error covariance).
 
     P is the stabilizing solution of a P + P a^T - P cy^T R^-1 cy P +
-    bw bw^T = 0 with R = dw dw^T, and the gain is L = -P cy^T R^-1.
+    bw bw^T = 0 with R = dw dw^T, and the gain is L = -P cy^T R^-1. P also
+    solves the Lyapunov equation of the closed loop (a + L cy, [bw, L dw]),
+    so the H2 level is gamma = sqrt(trace(cz P cz^T)) without a second
+    solve. Raises SynthesisError when a + L cy is not Hurwitz.
     """
     from scipy.linalg import solve_continuous_are
 
@@ -111,7 +124,9 @@ def solve_h2_care(plant: LinearErrorPlant):
         l = _riccati_gain(plant, p)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SynthesisError(f"Riccati solve failed: {exc}") from None
-    gamma = h2_norm(*closed_loop(plant, l), plant.cz)
+    if np.linalg.eigvals(a + l @ cy).real.max() >= 0.0:
+        raise SynthesisError("Riccati gain does not stabilize the estimator")
+    gamma = float(np.sqrt(np.trace(plant.cz @ p @ plant.cz.T)))
     return l, gamma, p
 
 
@@ -125,13 +140,22 @@ def care_cross_check(plant: LinearErrorPlant, l: np.ndarray, gamma: float):
     """
     l_care, gamma_care, _ = solve_h2_care(plant)
     abscissa = float(np.linalg.eigvals(plant.a + l @ plant.cy).real.max())
-    attained = h2_norm(*closed_loop(plant, l), plant.cz) if abscissa < 0.0 else np.inf
+    if abscissa < 0.0:
+        attained = h2_norm(*closed_loop(plant, l), plant.cz)
+        attained_rel = abs(gamma - attained) / attained
+    else:
+        attained_rel = np.inf
     return (
-        float(np.linalg.norm(l - l_care) / np.linalg.norm(l_care)),
+        _relative(l, l_care),
         abs(gamma - gamma_care) / gamma_care,
-        abs(gamma - attained) / attained,
+        attained_rel,
         abscissa,
     )
+
+
+def _relative(x: np.ndarray, ref: np.ndarray) -> float:
+    """Frobenius norm of x - ref relative to that of ref."""
+    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
 
 def default_stabilizer(plant: LinearErrorPlant) -> np.ndarray:
@@ -257,9 +281,10 @@ class GainSchedule:
     g: tuple
     h: tuple
     # synthesis certificates, kept in memory only (gain files do not store
-    # them): (8,) relative mismatch of each gain against its octant's
-    # Riccati gain, and the octant-0 LMI solve's duality gap <Z, S>, its
-    # interior-point iterations and its Schur-system solves
+    # them): (8,) relative mismatch of each gain against the Riccati gain of
+    # its center attitude, which the octant scheduled there solves once and
+    # the other octant shares; and the octant-0 LMI solve's duality gap
+    # <Z, S>, its interior-point iterations and its Schur-system solves
     care_mismatch: np.ndarray | None = None
     lmi_gap: float | None = None
     lmi_outer_iterations: int | None = None
@@ -273,18 +298,21 @@ def synthesize_schedule(
 
     Octant k's gain is T_k L0 T_k^T with T_k = blkdiag(R_k, R_k), where L0
     is the LMI gain at octant 0 and R_k the octant's center rotation; every
-    octant shares octant 0's performance level. Raises SynthesisError when
-    an octant's gain or performance level disagrees with the Riccati
-    solution of that octant's own plant beyond CROSS_CHECK_TOL, or when any
-    closed loop fails to be Hurwitz.
+    octant shares octant 0's performance level. The scheduled octant of
+    each of the four center attitudes (CENTER_OCTANT) is checked against the
+    Riccati solution of its own plant. Raises SynthesisError when its gain
+    or performance level disagrees beyond CROSS_CHECK_TOL, when its closed
+    loop fails to be Hurwitz, or when the other octant at that attitude has
+    a plant or rotated gain that differs beyond TWIN_TOL.
     """
     plants = [build_plant(noise, octant, g, h) for octant in range(N_OCTANTS)]
     l0, gamma0, lmi = solve_h2_lmi(plants[0])
-    gains = np.zeros((N_OCTANTS, 6, 6))
+    gains = np.array([gain_symmetry_transform(l0, octant_rotation(k)) for k in range(N_OCTANTS)])
     care_mismatch = np.zeros(N_OCTANTS)
-    for octant, plant in enumerate(plants):
-        l = gain_symmetry_transform(l0, octant_rotation(octant))
-        mismatch, gamma_care_rel, gamma_attained_rel, _ = care_cross_check(plant, l, gamma0)
+    for octant in sorted(CENTER_OCTANT):
+        mismatch, gamma_care_rel, gamma_attained_rel, _ = care_cross_check(
+            plants[octant], gains[octant], gamma0
+        )
         if mismatch > CROSS_CHECK_TOL:
             raise SynthesisError(
                 f"octant {octant}: LMI and Riccati gains disagree "
@@ -300,8 +328,21 @@ def synthesize_schedule(
                 f"octant {octant}: bound {gamma0:.6e} does not match the achieved "
                 f"closed-loop norm (relative mismatch {gamma_attained_rel:.3e})"
             )
-        gains[octant] = l
         care_mismatch[octant] = mismatch
+    for octant in range(N_OCTANTS):
+        center = CENTER_OCTANT[CENTER_AXIS[octant]]
+        if octant == center:
+            continue
+        twin_rel = max(
+            _relative(plants[octant].cy, plants[center].cy),
+            _relative(gains[octant], gains[center]),
+        )
+        if twin_rel > TWIN_TOL:
+            raise SynthesisError(
+                f"octant {octant}: plant or rotated gain differs from those of "
+                f"octant {center} at the same attitude (relative {twin_rel:.3e})"
+            )
+        care_mismatch[octant] = care_mismatch[center]
     return GainSchedule(
         gains=gains,
         gammas=np.full(N_OCTANTS, gamma0),

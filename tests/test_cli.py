@@ -119,6 +119,7 @@ class TestSynth:
         assert max(resids) < 1e-3
 
     def test_solves_each_riccati_problem_once(self, workdir, monkeypatch):
+        # the eight octants name four center attitudes, one Riccati problem each
         calls = []
 
         def counted(*args):
@@ -127,7 +128,7 @@ class TestSynth:
 
         monkeypatch.setattr(scipy.linalg, "solve_continuous_are", counted)
         assert main(["synth", "--out", "g.json"]) == 0
-        assert len(calls) == 8
+        assert len(calls) == 4
 
     def test_rerun_byte_identical(self, workdir):
         assert main(["synth", "--out", "a.json"]) == 0
@@ -317,6 +318,18 @@ class TestRun:
         )
         assert code == 2
         assert "ukf" in capsys.readouterr().err
+
+    def test_one_sample_dataset_refused(self, workdir, gains_path, capsys):
+        # one row at 150 Hz: the filters initialize and take no timed step
+        dataset = gen(workdir, "--case", "I", "--duration", "0.007")
+        assert len(read_dataset(dataset).t) == 1
+        capsys.readouterr()
+        code = main(["run", "--dataset", str(dataset), "--gains", str(gains_path), "--out", "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "no filter step to time" in err
+        assert not (workdir / "out" / "report.json").exists()
 
     def test_reps_validated(self, workdir, gains_path, capsys):
         dataset = gen(workdir, "--case", "I", "--seed", "2", "--duration", "1")

@@ -176,6 +176,13 @@ class TestSerialization:
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text()) == report
 
+    def test_save_refuses_nan(self, report, tmp_path):
+        # NaN is not valid JSON
+        data = copy.deepcopy(report)
+        data["filters"][0]["rms_total_deg"] = float("nan")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_report(data, tmp_path / "r.json")
+
     def test_saved_report_formats_like_the_built_one(self, report, tmp_path):
         saved = json.loads(save_report(report, tmp_path / "r.json").read_text())
         assert format_report(saved) == format_report(report)

@@ -10,11 +10,20 @@ import pytest
 from scipy.linalg import solve_continuous_are
 
 from attiq import synthesis
-from attiq.plant import N_OCTANTS, LinearErrorPlant, build_plant, closed_loop, octant_rotation
+from attiq.plant import (
+    CENTER_AXIS,
+    CENTER_OCTANT,
+    N_OCTANTS,
+    LinearErrorPlant,
+    build_plant,
+    closed_loop,
+    octant_rotation,
+)
 from attiq.quat import dcm_of, quat_of_euler
 from attiq.sim import NoiseParams
 from attiq.synthesis import (
     CROSS_CHECK_TOL,
+    TWIN_TOL,
     GainFileError,
     SynthesisError,
     care_cross_check,
@@ -63,6 +72,18 @@ class TestH2Norm:
     def test_rejects_unstable(self):
         with pytest.raises(SynthesisError, match="Hurwitz"):
             h2_norm([[1.0]], [[1.0]], [[1.0]])
+
+
+class TestCareLevel:
+    @pytest.mark.parametrize(
+        "plant",
+        [SCALAR, *(build_plant(default_design_noise(150.0), k) for k in range(N_OCTANTS))],
+        ids=["scalar", *(f"octant{k}" for k in range(N_OCTANTS))],
+    )
+    def test_level_is_the_h2_norm_of_its_closed_loop(self, plant):
+        # sqrt(trace(cz P cz^T)) from the Riccati P, against a Lyapunov solve
+        l, gamma, _ = solve_h2_care(plant)
+        assert gamma == pytest.approx(h2_norm(*closed_loop(plant, l), plant.cz), rel=1e-12)
 
 
 class TestScalarClosedForms:
@@ -274,31 +295,48 @@ class TestBlasThreading:
 
 
 class TestScheduleCrossCheck:
-    def test_one_lmi_solve_and_a_riccati_solve_per_octant(self, monkeypatch):
-        calls = {"lmi": 0, "care": 0}
+    def test_one_lmi_solve_and_a_riccati_solve_per_attitude(self, monkeypatch):
+        calls = {"lmi": [], "care": []}
 
         def counted(name, fn):
             def wrapper(plant):
-                calls[name] += 1
+                calls[name].append(plant)
                 return fn(plant)
 
             return wrapper
 
         monkeypatch.setattr(synthesis, "solve_h2_lmi", counted("lmi", solve_h2_lmi))
         monkeypatch.setattr(synthesis, "solve_h2_care", counted("care", solve_h2_care))
-        synthesize_schedule(default_design_noise(150.0))
-        assert calls == {"lmi": 1, "care": N_OCTANTS}
+        noise = default_design_noise(150.0)
+        synthesize_schedule(noise)
+        assert len(calls["lmi"]) == 1
+        # one Riccati solve at the scheduled octant of each center attitude
+        assert sorted(CENTER_OCTANT) == [0, 1, 3, 6]
+        solved = [plant.cy for plant in calls["care"]]
+        expected = [build_plant(noise, octant).cy for octant in sorted(CENTER_OCTANT)]
+        np.testing.assert_array_equal(solved, expected)
 
-    def test_corrupted_octant_is_refused_and_named(self, monkeypatch):
-        # octant 5's gain is rotated with a center that is off by 1 degree
+    def test_twins_share_their_center_verdict(self):
+        schedule = synthesize_schedule(default_design_noise(150.0))
+        for octant, axis in enumerate(CENTER_AXIS):
+            center = CENTER_OCTANT[axis]
+            assert schedule.care_mismatch[octant] == schedule.care_mismatch[center]
+            np.testing.assert_allclose(
+                schedule.gains[octant], schedule.gains[center], rtol=0.0, atol=TWIN_TOL
+            )
+
+    @pytest.mark.parametrize("corrupted", [5, 1], ids=["twin", "center"])
+    def test_corrupted_octant_is_refused_and_named(self, monkeypatch, corrupted):
+        # the octant's gain is rotated with a center that is off by 1 degree;
+        # octant 5 shares its attitude with octant 1, the one scheduled there
         tilt = dcm_of(quat_of_euler(np.radians(1.0), 0.0, 0.0))
 
         def corrupted_rotation(octant):
             r = octant_rotation(octant)
-            return r @ tilt if octant == 5 else r
+            return r @ tilt if octant == corrupted else r
 
         monkeypatch.setattr(synthesis, "octant_rotation", corrupted_rotation)
-        with pytest.raises(SynthesisError, match="octant 5"):
+        with pytest.raises(SynthesisError, match=f"octant {corrupted}"):
             synthesize_schedule(default_design_noise(150.0))
 
 

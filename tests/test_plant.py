@@ -95,6 +95,20 @@ class TestDetectability:
         c = np.array([[1.0, 0.0]])
         assert is_detectable(a, c)
 
+    def test_one_pbh_test_per_distinct_eigenvalue(self, monkeypatch):
+        # the attitude plant's six eigenvalues are all 0
+        p = build_plant(NOISE, 0)
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert is_detectable(p.a, p.cy)
+        assert len(calls) == 1
+
     def test_full_observation(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((3, 3))

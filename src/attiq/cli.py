@@ -63,6 +63,11 @@ def cmd_gen(args) -> int:
     given = {"sample_rate": args.rate, "duration": args.duration}
     overrides = {key: value for key, value in given.items() if value is not None}
     cfg = ScenarioConfig.for_case(args.case, seed=args.seed, **overrides)
+    if cfg.n_samples < 2:
+        raise CliError(
+            f"--duration {cfg.duration:g} s at --rate {cfg.sample_rate:g} Hz gives "
+            f"{cfg.n_samples} sample(s); a dataset needs at least 2"
+        )
     dataset = simulate_scenario(cfg)
     out = Path(args.out) if args.out else Path(f"case_{cfg.case}_seed{cfg.seed}.csv")
     write_dataset(dataset, out)

@@ -175,6 +175,4 @@ def write_trace(dataset: Dataset, run: FilterRun, path) -> Path:
             run.step_ns,
         ]
     )
-    return write_csv(
-        path, TRACE_COLUMNS, table, ("%.17g",) * (len(TRACE_COLUMNS) - 1) + ("%d",)
-    )
+    return write_csv(path, TRACE_COLUMNS, table)

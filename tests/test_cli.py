@@ -15,9 +15,9 @@ from scipy.linalg import solve_continuous_are
 
 import attiq
 from attiq.cli import CliError, _parse_filters, main
-from attiq.dataset import read_dataset, sidecar_path
+from attiq.dataset import read_dataset, sidecar_path, write_dataset
 from attiq.sdp import SdpError
-from attiq.sim import NoiseParams
+from attiq.sim import NoiseParams, ScenarioConfig, simulate_scenario
 from attiq.synthesis import (
     default_design_noise,
     load_gains,
@@ -78,6 +78,16 @@ class TestGen:
         code = main(["gen", "--case", "I", "--rate", "0", "--out", "x.csv"])
         assert code == 2
         assert "sample_rate must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration, rows", [("0.001", 0), ("0.007", 1)])
+    def test_fewer_than_two_samples_refused(self, workdir, capsys, duration, rows):
+        # run refuses such a dataset whatever it holds, so gen writes none
+        code = main(["gen", "--case", "I", "--duration", duration, "--out", "x.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"gives {rows} sample(s); a dataset needs at least 2" in err
+        assert list(workdir.iterdir()) == []
 
     def test_prints_rows_and_hash(self, workdir, capsys):
         gen(workdir, "--case", "II", "--seed", "1", "--duration", "1")
@@ -320,10 +330,11 @@ class TestRun:
         assert "ukf" in capsys.readouterr().err
 
     def test_one_sample_dataset_refused(self, workdir, gains_path, capsys):
-        # one row at 150 Hz: the filters initialize and take no timed step
-        dataset = gen(workdir, "--case", "I", "--duration", "0.007")
+        # one row at 150 Hz: the filters initialize and take no timed step.
+        # gen refuses to write it, so the file comes from write_dataset
+        config = ScenarioConfig.for_case("I", seed=1, duration=0.007)
+        dataset = write_dataset(simulate_scenario(config), workdir / "one.csv")
         assert len(read_dataset(dataset).t) == 1
-        capsys.readouterr()
         code = main(["run", "--dataset", str(dataset), "--gains", str(gains_path), "--out", "out"])
         assert code == 2
         err = capsys.readouterr().err

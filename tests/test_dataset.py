@@ -1,9 +1,14 @@
 import io
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from attiq import dataset as dataset_module
 from attiq.dataset import (
     CHUNK_ROWS,
     COLUMNS,
@@ -28,6 +33,12 @@ SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.797693134862315
 def small_dataset():
     cfg = ScenarioConfig.for_case("II", seed=42, duration=1.0)
     return simulate_scenario(cfg)
+
+
+@pytest.fixture(scope="module")
+def case_iv_dataset():
+    """The default Case IV flight, seed 1: 9000 rows."""
+    return simulate_scenario(ScenarioConfig.for_case("IV", seed=1))
 
 
 def write_small(small_dataset, tmp_path):
@@ -77,13 +88,13 @@ class TestRoundTrip:
         loaded = read_dataset(write_small(small_dataset, tmp_path))
         assert loaded.w_true is None
 
-    def test_bytes_match_row_by_row_rendering(self, small_dataset, tmp_path):
-        path = write_small(small_dataset, tmp_path)
-        ds = small_dataset
-        table = np.column_stack([ds.t, ds.w_m, ds.a_m, ds.m_m, ds.q_true, ds.b_true])
-        rows = [",".join(format(v, ".17g") for v in row) for row in table]
-        expected = "\n".join([",".join(COLUMNS), *rows]) + "\n"
-        assert path.read_bytes() == expected.encode()
+    def test_bytes_match_row_by_row_rendering(self, small_dataset, case_iv_dataset, tmp_path):
+        for ds in (small_dataset, case_iv_dataset):
+            path = write_dataset(ds, tmp_path / "rows.csv")
+            table = np.column_stack([ds.t, ds.w_m, ds.a_m, ds.m_m, ds.q_true, ds.b_true])
+            rows = [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
+            expected = "\n".join([",".join(COLUMNS), *rows]) + "\n"
+            assert path.read_bytes() == expected.encode(), ds.config
 
     def test_non_finite_values_round_trip(self, small_dataset, tmp_path):
         ds = simulate_scenario(small_dataset.config)
@@ -246,7 +257,7 @@ class TestWriteCsv:
     )
     def test_bytes_match_savetxt(self, tmp_path, n_rows, columns, formats):
         table = special_table(n_rows, len(columns), integer_last=formats[-1] == "%d")
-        path = write_csv(tmp_path / "t.csv", columns, table, formats)
+        path = write_csv(tmp_path / "t.csv", columns, table)
         assert path.read_bytes() == savetxt_bytes(columns, table, formats)
 
     @pytest.mark.parametrize("n_rows", ROW_COUNTS)
@@ -272,6 +283,147 @@ class TestWriteCsv:
 
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="columns"):
-            write_csv(tmp_path / "t.csv", COLUMNS, np.zeros((3, 5)), DATASET_FORMATS)
+            write_csv(tmp_path / "t.csv", COLUMNS, np.zeros((3, 5)))
         with pytest.raises(ValueError, match="columns"):
-            write_csv(tmp_path / "t.csv", COLUMNS, np.zeros((3, 17)), ("%.17g",))
+            write_csv(tmp_path / "t.csv", COLUMNS, np.zeros(17))
+
+
+def written_fields(directory, values) -> list[str]:
+    """write_csv's fields for values, one per line of a one-column file."""
+    table = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    path = write_csv(directory / "fields.csv", ("x",), table)
+    return path.read_text().splitlines()[1:]
+
+
+def floats_of_bits(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def product_fraction(value: float) -> Fraction:
+    """The fraction of |value| 10^(16 - e), e the exact decimal exponent of value."""
+    exact = abs(Fraction(value))
+    e = math.floor(math.log10(exact))
+    e += (Fraction(10) ** (e + 1) <= exact) - (Fraction(10) ** e > exact)
+    product = exact * Fraction(10) ** (16 - e)
+    return product - math.floor(product)
+
+
+def near_tie(e: int, offset: Fraction) -> float:
+    """A double in [10^e, 10^(e+1)) whose product fraction is exactly 1/2 + offset.
+
+    In the binade [2^b, 2^(b+1)) a double is m 2^(b-52), so its product is
+    m 5^k 2^(k+b-52) with k = 16 - e: a multiple of 2^-s, s = 52 - b - k. The
+    fraction is (m 5^k mod 2^s) / 2^s, and 5^k is invertible mod 2^s.
+    """
+    b = math.ceil(e * math.log2(10))
+    k, s = 16 - e, 52 - b - (16 - e)
+    target = Fraction(1, 2) + offset
+    assert 0 < s <= 52 and (target * 2**s).denominator == 1
+    residue = int(target * 2**s) * pow(5**k, -1, 2**s) % 2**s
+    m = 2**52 + (residue - 2**52) % 2**s
+    return math.ldexp(m, b - 52)
+
+
+def record_fallback(monkeypatch) -> list[float]:
+    """The values write_csv hands to its '%.17g' fallback from now on."""
+    fallen = []
+    fallback = dataset_module._fallback_fields
+
+    def recording(values):
+        fallen.extend(values.tolist())
+        return fallback(values)
+
+    monkeypatch.setattr(dataset_module, "_fallback_fields", recording)
+    return fallen
+
+
+MARGIN = Fraction(dataset_module._TIE_MARGIN)
+NEAR_TIES = [
+    (Fraction(0), True),
+    (MARGIN / 2, True),
+    (-MARGIN / 2, True),
+    (MARGIN - Fraction(1, 2**47), True),
+    (-MARGIN + Fraction(1, 2**47), True),
+    (MARGIN + Fraction(1, 2**47), False),
+    (-MARGIN - Fraction(1, 2**47), False),
+    (2 * MARGIN, False),
+]
+# every decimal exponent from beyond one end of the kernel's table to beyond the other
+EXPONENTS = range(dataset_module._E_MIN - 2, dataset_module._E_MAX + 3)
+
+
+class TestPercentG:
+    """write_csv's fields against Python's '%.17g', value by value."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1).map(lambda bits: float(floats_of_bits([bits])[0])),
+                st.floats(min_value=-1e42, max_value=1e42),
+                st.floats(),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_any_double_prints_as_percent_g(self, tmp_path_factory, values):
+        directory = tmp_path_factory.mktemp("percent_g", numbered=True)
+        assert written_fields(directory, values) == ["%.17g" % v for v in values]
+
+    def test_specials(self, tmp_path):
+        values = [
+            np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+            2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+            1.7976931348623157e308, -1.7976931348623157e308, 2.0**53, 2.0**53 + 2,
+        ]
+        values += list(floats_of_bits([0x7FF8000000000001, 0xFFF0000000000001]))
+        assert written_fields(tmp_path, values) == ["%.17g" % v for v in values]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_powers_of_ten_and_neighbours(self, tmp_path, sign):
+        values = []
+        for p in EXPONENTS:
+            power = float(f"1e{p}")
+            values += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+            values += [5 * power, 9.999999999999999 * power]
+        values = [sign * v for v in values]
+        assert written_fields(tmp_path, values) == ["%.17g" % v for v in values]
+
+    def test_carry_into_the_next_decade(self, tmp_path):
+        # the double nearest 1e-14 lies 1.2e-18 relative below it, so its
+        # 17-digit rounding is 9.99...9|7 rounded up: it prints as the power
+        assert Fraction(1e-14) < Fraction(1, 10**14)
+        values = [1e-14, -1e-14, np.nextafter(1e-14, 0.0)]
+        assert written_fields(tmp_path, values) == ["1e-14", "-1e-14", "%.17g" % values[2]]
+
+    @pytest.mark.parametrize("e", [-7, -6, -5])
+    def test_near_ties(self, tmp_path, monkeypatch, e):
+        # within the tie margin of 1/2 the fallback decides; outside it the kernel does
+        fallen = record_fallback(monkeypatch)
+        for offset, inside in NEAR_TIES:
+            value = near_tie(e, offset)
+            assert product_fraction(value) == Fraction(1, 2) + offset
+            fallen.clear()
+            assert written_fields(tmp_path, [value, -value]) == ["%.17g" % value, "%.17g" % -value]
+            assert fallen == ([value, -value] if inside else []), offset
+
+    @pytest.mark.parametrize("e", [-3, -1, 0, 2, 4])
+    def test_exact_ties(self, tmp_path, monkeypatch, e):
+        fallen = record_fallback(monkeypatch)
+        value = near_tie(e, Fraction(0))
+        assert written_fields(tmp_path, [value]) == ["%.17g" % value]
+        assert fallen == [value]
+
+    def test_table_limits(self, tmp_path, monkeypatch):
+        fallen = record_fallback(monkeypatch)
+        inside = [1.5 * 10.0**dataset_module._E_MIN, 9.5 * 10.0**dataset_module._E_MAX]
+        outside = [9.5 * 10.0 ** (dataset_module._E_MIN - 1), 1.5 * 10.0 ** (dataset_module._E_MAX + 1)]
+        values = inside + outside
+        assert written_fields(tmp_path, values) == ["%.17g" % v for v in values]
+        assert fallen == outside
+
+    def test_default_dataset_takes_no_fallback(self, case_iv_dataset, tmp_path, monkeypatch):
+        fallen = record_fallback(monkeypatch)
+        write_dataset(case_iv_dataset, tmp_path / "iv.csv")
+        assert fallen == []

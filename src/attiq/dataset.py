@@ -4,9 +4,9 @@ The CSV column layout is fixed. Every field is the value's '%.17g', 17
 significant digits, so numeric fields survive a write/read round trip
 bit-for-bit. write_csv, which writes the trace CSV too, prints them with a
 numpy kernel that reproduces '%.17g' byte for byte and hands the values it
-cannot decide exactly to Python's formatting. The sidecar (same path with a .json suffix) carries the generating
-ScenarioConfig, including the seed. Truth angular rates are not stored, so a
-loaded Dataset has w_true None.
+cannot decide exactly to Python's formatting. The sidecar (same path with a
+.json suffix) carries the generating ScenarioConfig, including the seed.
+Truth angular rates are not stored, so a loaded Dataset has w_true None.
 """
 
 from __future__ import annotations

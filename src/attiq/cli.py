@@ -23,9 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as verify_mod
 from .dataset import (
-    DatasetFormatError,
     read_dataset,
     reference_vector,
     sidecar_path,
@@ -42,7 +40,6 @@ from .report import (
 )
 from .sim import CASES, NoiseParams, ScenarioConfig, simulate_scenario
 from .synthesis import (
-    GainFileError,
     SynthesisError,
     default_design_noise,
     load_gains,
@@ -115,7 +112,7 @@ def cmd_synth(args) -> int:
         noise = default_design_noise(rate)
     try:
         schedule = synthesize_schedule(noise, **kwargs)
-    except (SynthesisError, ValueError) as exc:
+    except SynthesisError as exc:
         raise CliError(str(exc)) from None
 
     print("octant  gamma      care_gain_resid")
@@ -157,10 +154,7 @@ def cmd_run(args) -> int:
     dataset_path = Path(args.dataset)
     if not dataset_path.exists():
         raise CliError(f"dataset not found: {dataset_path}")
-    try:
-        dataset = read_dataset(dataset_path)
-    except DatasetFormatError as exc:
-        raise CliError(str(exc)) from None
+    dataset = read_dataset(dataset_path)
 
     methods = _parse_filters(args.filters)
     schedule = None
@@ -170,10 +164,7 @@ def cmd_run(args) -> int:
         gains_path = Path(args.gains)
         if not gains_path.exists():
             raise CliError(f"gain file not found: {gains_path}")
-        try:
-            schedule = load_gains(gains_path)
-        except GainFileError as exc:
-            raise CliError(str(exc)) from None
+        schedule = load_gains(gains_path)
 
     if args.reps < 1:
         raise CliError(f"--reps must be >= 1, got {args.reps}")
@@ -199,9 +190,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_criteria  # here, so gen, synth and run skip loading it
+
     if args.case is not None and args.case not in CASES:
         raise CliError(f"unknown case {args.case!r}; expected one of {CASES}")
-    results, ok = verify_mod.run_criteria(case=args.case, echo=print)
+    results, ok = run_criteria(case=args.case, echo=print)
     if not results:
         print(f"no criteria exercise case {args.case}")
         return 0
@@ -263,10 +256,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,8 @@ body-frame gravity/field directions against the vector measurements, and
 fold a small-angle correction quaternion back into the estimate.
 
 - The scheduled filter applies a constant precomputed gain per attitude
-  octant (see synthesis.py), chosen by the nearest of the four octant
-  centers; the step cost is one matrix-vector product.
+  octant (see synthesis.py), chosen afresh at every step by the nearest of
+  the four octant centers; the step cost is one matrix-vector product.
 - The extended Kalman filter propagates a 6x6 error covariance and solves
   for its gain online; it is the baseline the scheduled filter is
   benchmarked against. Its covariances and measurement matrix come from
@@ -16,14 +16,13 @@ fold a small-angle correction quaternion back into the estimate.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .plant import CENTER_AXIS, CENTER_OCTANT, SampledModel, measurement_matrix, sampled_model
+from .plant import CENTER_OCTANT, SampledModel, measurement_matrix, sampled_model
 from .quat import (
     _check_unit,
     dcm_of,
@@ -38,21 +37,16 @@ from .quat import (
 from .sim import Dataset, NoiseParams
 from .synthesis import GainSchedule, default_design_noise
 
-HYSTERESIS = 0.05  # rad, octant switching band
 # initial EKF error standard deviations: attitude (rad) and gyro bias (rad/s)
 INITIAL_ATT_STD = 0.1
 INITIAL_BIAS_STD = 0.01
-
-# lead of the new center's quaternion component over the held one at
-# HYSTERESIS past the quarter turn of a single-axis rotation
-_SWITCH_MARGIN = math.sqrt(2.0) * math.sin(HYSTERESIS / 2.0)
 
 
 @dataclass
 class H2State:
     q: np.ndarray
     b: np.ndarray
-    octant: int
+    octant: int  # the octant whose gain the step applied
 
 
 @dataclass
@@ -83,21 +77,14 @@ def triad_attitude(a_m, m_m, g, h) -> np.ndarray:
     return quat_of_dcm(body @ inertial.T)
 
 
-def select_octant(q, prev: int | None = None) -> int:
+def select_octant(q) -> int:
     """Scheduling octant of an attitude: the one at its nearest center.
 
     The nearest of the four centers (identity and the three half-turns) is
     the quaternion component of largest magnitude; ties go to the identity.
-    A previous octant is kept until another center's component leads its
-    center's by more than HYSTERESIS is worth on a single-axis rotation, so
-    a trajectory riding the quarter turn between two centers does not
-    chatter between gains, whichever axis it turns about.
     """
     mags = [abs(c) for c in _check_unit(q).tolist()]
-    best = max((3, 0, 1, 2), key=mags.__getitem__)
-    if prev is None or mags[best] - mags[CENTER_AXIS[prev]] > _SWITCH_MARGIN:
-        return CENTER_OCTANT[best]
-    return prev
+    return CENTER_OCTANT[max((3, 0, 1, 2), key=mags.__getitem__)]
 
 
 def _fold_correction(q_pred, b, dx):
@@ -118,10 +105,10 @@ def predict_measurement(q, g, h) -> np.ndarray:
 
 def h2_propagate(state: H2State, w_m: np.ndarray, dt: float) -> H2State:
     """Gyro propagation over one sample interval, with the octant of the
-    propagated attitude; alone, it is the step of a sample without vector
-    measurements."""
+    propagated attitude, whatever octant the previous step applied; alone,
+    it is the step of a sample without vector measurements."""
     q_pred = integrate_step(state.q, w_m - state.b, dt)
-    return H2State(q=q_pred, b=state.b, octant=select_octant(q_pred, state.octant))
+    return H2State(q=q_pred, b=state.b, octant=select_octant(q_pred))
 
 
 def h2_step(

@@ -11,14 +11,13 @@ linearized estimation error dynamics. Two independent routes compute it:
 
 The error plant is rotation-equivariant, skew(R g) = R skew(g) R^T, so the
 schedule constructor solves the LMI once, at octant 0, and rotates that
-gain to the other seven octants. The eight octants name only four center
+gain to the four center attitudes. The eight octants name only those four
 attitudes, each twice (plant.CENTER_AXIS). The constructor solves the
 Riccati equation on the plant of each attitude's scheduled octant
 (plant.CENTER_OCTANT) and refuses to emit gains when that octant's rotated
-gain or performance level disagrees with it. The other octant at each
-attitude must have the same plant and rotated gain to within TWIN_TOL, and
-then shares the verdict. So a regression in either route or in the
-symmetry map cannot ship silently.
+gain or performance level disagrees with it; each twin octant takes its
+center's gain. So a regression in either route or in the symmetry map
+cannot ship silently.
 
 The solver stack loads on first use: scipy.linalg when h2_norm,
 solve_h2_care or the LMI start point first runs, and sdp.py when
@@ -51,10 +50,6 @@ GAIN_FORMAT_VERSION = 1
 
 # relative tolerance of the schedule's LMI/Riccati cross-check
 CROSS_CHECK_TOL = 1e-3
-# relative tolerance within which the two octants at one center attitude
-# must have the same measurement matrix cy and the same rotated gain; they
-# differ by rounding only, at most 2.3e-16 on the default design
-TWIN_TOL = 1e-12
 
 
 class SynthesisError(RuntimeError):
@@ -282,9 +277,10 @@ class GainSchedule:
     h: tuple
     # synthesis certificates, kept in memory only (gain files do not store
     # them): (8,) relative mismatch of each gain against the Riccati gain of
-    # its center attitude, which the octant scheduled there solves once and
-    # the other octant shares; and the octant-0 LMI solve's duality gap
-    # <Z, S>, its interior-point iterations and its Schur-system solves
+    # its center attitude, solved once at the octant scheduled there and
+    # copied with the gain to the twin octant; and the octant-0 LMI solve's
+    # duality gap <Z, S>, its interior-point iterations and its
+    # Schur-system solves
     care_mismatch: np.ndarray | None = None
     lmi_gap: float | None = None
     lmi_outer_iterations: int | None = None
@@ -296,23 +292,21 @@ def synthesize_schedule(
 ) -> GainSchedule:
     """Synthesize all octant gains from one LMI solve plus symmetry.
 
-    Octant k's gain is T_k L0 T_k^T with T_k = blkdiag(R_k, R_k), where L0
-    is the LMI gain at octant 0 and R_k the octant's center rotation; every
-    octant shares octant 0's performance level. The scheduled octant of
-    each of the four center attitudes (CENTER_OCTANT) is checked against the
-    Riccati solution of its own plant. Raises SynthesisError when its gain
-    or performance level disagrees beyond CROSS_CHECK_TOL, when its closed
-    loop fails to be Hurwitz, or when the other octant at that attitude has
-    a plant or rotated gain that differs beyond TWIN_TOL.
+    The gain at each of the four center attitudes is T_k L0 T_k^T with
+    T_k = blkdiag(R_k, R_k), where L0 is the LMI gain at octant 0 and R_k
+    the center rotation of the octant scheduled there (CENTER_OCTANT); each
+    twin octant takes its center's gain, and every octant shares octant 0's
+    performance level. Each center gain is checked against the Riccati
+    solution of its own plant. Raises SynthesisError when its gain or
+    performance level disagrees beyond CROSS_CHECK_TOL, or when its closed
+    loop fails to be Hurwitz.
     """
-    plants = [build_plant(noise, octant, g, h) for octant in range(N_OCTANTS)]
+    plants = {octant: build_plant(noise, octant, g, h) for octant in sorted(CENTER_OCTANT)}
     l0, gamma0, lmi = solve_h2_lmi(plants[0])
-    gains = np.array([gain_symmetry_transform(l0, octant_rotation(k)) for k in range(N_OCTANTS)])
-    care_mismatch = np.zeros(N_OCTANTS)
-    for octant in sorted(CENTER_OCTANT):
-        mismatch, gamma_care_rel, gamma_attained_rel, _ = care_cross_check(
-            plants[octant], gains[octant], gamma0
-        )
+    center_gains, center_mismatch = {}, {}
+    for octant, plant in plants.items():
+        gain = gain_symmetry_transform(l0, octant_rotation(octant))
+        mismatch, gamma_care_rel, gamma_attained_rel, _ = care_cross_check(plant, gain, gamma0)
         if mismatch > CROSS_CHECK_TOL:
             raise SynthesisError(
                 f"octant {octant}: LMI and Riccati gains disagree "
@@ -328,21 +322,10 @@ def synthesize_schedule(
                 f"octant {octant}: bound {gamma0:.6e} does not match the achieved "
                 f"closed-loop norm (relative mismatch {gamma_attained_rel:.3e})"
             )
-        care_mismatch[octant] = mismatch
-    for octant in range(N_OCTANTS):
-        center = CENTER_OCTANT[CENTER_AXIS[octant]]
-        if octant == center:
-            continue
-        twin_rel = max(
-            _relative(plants[octant].cy, plants[center].cy),
-            _relative(gains[octant], gains[center]),
-        )
-        if twin_rel > TWIN_TOL:
-            raise SynthesisError(
-                f"octant {octant}: plant or rotated gain differs from those of "
-                f"octant {center} at the same attitude (relative {twin_rel:.3e})"
-            )
-        care_mismatch[octant] = care_mismatch[center]
+        center_gains[octant], center_mismatch[octant] = gain, mismatch
+    centers = [CENTER_OCTANT[axis] for axis in CENTER_AXIS]
+    gains = np.array([center_gains[center] for center in centers])
+    care_mismatch = np.array([center_mismatch[center] for center in centers])
     return GainSchedule(
         gains=gains,
         gammas=np.full(N_OCTANTS, gamma0),

@@ -387,7 +387,8 @@ class TestVerify:
         assert "unknown case" in capsys.readouterr().err
 
 
-# gen, dataset and gain-file reads and run need numpy only; synth loads scipy
+# gen, dataset and gain-file reads and run need numpy only and leave the
+# criteria module unloaded; synth loads scipy
 COLD_START_SCRIPT = """
 import sys
 
@@ -401,6 +402,7 @@ read_dataset("d.csv")
 load_gains(gains)
 assert main(["run", "--dataset", "d.csv", "--gains", gains, "--out", "run"]) == 0
 assert "scipy" not in sys.modules
+assert "attiq.verify" not in sys.modules
 assert main(["synth", "--out", "g.json"]) == 0
 assert "scipy.linalg" in sys.modules
 """

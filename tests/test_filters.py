@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attiq.filters import (
-    HYSTERESIS,
     H2State,
     attitude_errors,
     ekf_step,
@@ -17,7 +18,6 @@ from attiq.filters import (
     triad_attitude,
 )
 from attiq.plant import (
-    CENTER_AXIS,
     N_OCTANTS,
     OCTANT_TRIPLES,
     LinearErrorPlant,
@@ -115,22 +115,11 @@ class TestSelectOctant:
         just_short = quat_of_euler(PI / 2 - 0.01, 0.0, 0.0)
         assert select_octant(just_short) == OCTANT_OF[(0.0, 0.0, 0.0)]
 
-    def test_hysteresis_holds_previous_half(self):
-        level = OCTANT_OF[(0.0, 0.0, 0.0)]
-        rolled = OCTANT_OF[(PI, 0.0, 0.0)]
-        inside_band = quat_of_euler(PI / 2 + 0.01, 0.0, 0.0)
-        assert select_octant(inside_band, prev=level) == level
-        assert select_octant(inside_band, prev=rolled) == rolled
-        below_band = quat_of_euler(PI / 2 - 0.08, 0.0, 0.0)
-        assert select_octant(below_band, prev=rolled) == level
-        past_band = quat_of_euler(PI / 2 + 0.08, 0.0, 0.0)
-        assert select_octant(past_band, prev=level) == rolled
-
     def test_full_roll_sweep_switches_exactly_twice(self):
         octant = select_octant(quat_of_euler(0.0, 0.0, 0.0))
         changes = 0
         for roll in np.linspace(0.0, 2.0 * PI, 3000):
-            new = select_octant(quat_of_euler(roll, 0.0, 0.0), prev=octant)
+            new = select_octant(quat_of_euler(roll, 0.0, 0.0))
             changes += new != octant
             octant = new
         assert changes == 2
@@ -138,24 +127,11 @@ class TestSelectOctant:
 
 
 class TestNearestCenter:
-    # lead of one center's quaternion component over another's at HYSTERESIS
-    # past the quarter turn of a single-axis rotation
-    MARGIN = np.sin((PI / 2 + HYSTERESIS) / 2) - np.cos((PI / 2 + HYSTERESIS) / 2)
-
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="unit norm"):
             select_octant(np.array([np.nan, 0.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="unit norm"):
-            select_octant(np.array([0.0, 0.0, 0.0, np.nan]), prev=0)
-
-    def test_pitch_ninety_crossings_do_not_chatter(self):
-        octant = select_octant(quat_of_euler(0.1, np.radians(89.95), -0.2))
-        seen = set()
-        for k in range(40):
-            pitch = np.radians(89.95 if k % 2 == 0 else 90.05)
-            octant = select_octant(quat_of_euler(0.1, pitch, -0.2), prev=octant)
-            seen.add(octant)
-        assert len(seen) == 1
+            select_octant(np.array([0.0, 0.0, 0.0, np.nan]))
 
     def test_without_history_picks_the_nearest_center(self):
         rng = np.random.default_rng(31)
@@ -168,29 +144,6 @@ class TestNearestCenter:
             octant = select_octant(q_n)
             assert octant in (0, 1, 3, 6)
             assert close_n[octant] >= close_n.max() - 1e-12
-
-    def test_with_history_switches_only_past_the_margin(self):
-        rng = np.random.default_rng(32)
-        held = switched = 0
-        for _ in range(5000):
-            # near the quarter turn between two random centers
-            q = np.zeros(4)
-            i, j = rng.choice(4, size=2, replace=False)
-            q[i], q[j] = rng.choice([-1.0, 1.0], size=2)
-            q += 0.05 * rng.standard_normal(4)
-            q /= np.linalg.norm(q)
-            prev = int(rng.integers(N_OCTANTS))
-            mags = np.abs(q)
-            lead = mags.max() - mags[CENTER_AXIS[prev]]
-            octant = select_octant(q, prev=prev)
-            if octant == prev:
-                held += lead > 0.0
-                assert lead <= self.MARGIN
-            else:
-                switched += 1
-                assert lead > self.MARGIN
-                assert mags[CENTER_AXIS[octant]] == mags.max()
-        assert held > 100 and switched > 100
 
 
 class TestNoiselessTracking:
@@ -511,3 +464,92 @@ class TestEvaluate:
         comps, totals = attitude_errors(q_est, q_true)
         assert np.allclose(totals, angle, atol=1e-9)
         assert np.allclose(comps, angle * np.eye(3), atol=1e-9)
+
+
+def rotated_frame(ds, r):
+    """The same body-frame samples seen from an inertial frame rotated by r:
+    g and h become R g and R h with R = dcm_of(r), and the truth q_true (x) r^-1."""
+    big_r = dcm_of(r)
+    config = replace(
+        ds.config,
+        g=tuple((big_r @ np.asarray(ds.config.g)).tolist()),
+        h=tuple((big_r @ np.asarray(ds.config.h)).tolist()),
+    )
+    r_inv = quat_inverse(r)
+    q_true = np.array([quat_multiply(q, r_inv) for q in ds.q_true])
+    return replace(ds, config=config, q_true=q_true)
+
+
+unit_quaternions = (
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+
+
+class TestFrameInvariance:
+    """Rotating the inertial frame, with the body-frame samples kept, is the
+    same flight described otherwise; an estimator's errors should not see it."""
+
+    @pytest.fixture(scope="class")
+    def flights(self):
+        return {
+            case: simulate_scenario(ScenarioConfig.for_case(case, seed=1, duration=3.0))
+            for case in ("II", "IV")
+        }
+
+    @pytest.fixture(scope="class")
+    def ekf_runs(self, flights):
+        return {case: run_filter(ds, "ekf") for case, ds in flights.items()}
+
+    @pytest.mark.parametrize("case", ["II", "IV"])
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(r=unit_quaternions)
+    def test_ekf_errors_do_not_see_the_frame(self, case, r, flights, ekf_runs):
+        rotated = rotated_frame(flights[case], r)
+        run = run_filter(rotated, "ekf")
+        comps, _ = attitude_errors(run.q_est, rotated.q_true)
+        ref_comps, _ = attitude_errors(ekf_runs[case].q_est, flights[case].q_true)
+        assert np.max(np.abs(comps - ref_comps)) <= 1e-12
+        assert np.max(np.abs(run.b_est - ekf_runs[case].b_est)) <= 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the octant schedule's centers are fixed in the inertial frame, "
+        "so a yawed frame schedules other gains (ROADMAP direction 1)",
+    )
+    @pytest.mark.parametrize("case", ["II", "IV"])
+    def test_h2_errors_at_a_quarter_turn_of_yaw(self, case, flights, schedule):
+        rotated = rotated_frame(flights[case], quat_of_euler(0.0, 0.0, PI / 2))
+        config = rotated.config
+        turned = synthesize_schedule(default_design_noise(150.0), g=config.g, h=config.h)
+        comps, _ = attitude_errors(run_filter(rotated, "h2", schedule=turned).q_est, rotated.q_true)
+        run = run_filter(flights[case], "h2", schedule=schedule)
+        ref_comps, _ = attitude_errors(run.q_est, flights[case].q_true)
+        assert np.max(np.abs(comps - ref_comps)) <= 1e-12
+
+
+class TestSignInvariance:
+    @pytest.mark.parametrize("method", ["h2", "ekf"])
+    def test_negated_start_gives_the_same_estimates(self, method, schedule):
+        ds = simulate_scenario(ScenarioConfig.for_case("II", seed=1, duration=2.0))
+        q0 = triad_attitude(ds.a_m[0], ds.m_m[0], G, H)
+        pos = run_filter(ds, method, schedule=schedule, q0=q0)
+        neg = run_filter(ds, method, schedule=schedule, q0=-q0)
+        assert np.array_equal(pos.q_est[0], q0)
+        assert np.array_equal(neg.q_est[0], -q0)
+        assert np.array_equal(neg.q_est[1:], pos.q_est[1:])
+        assert np.array_equal(neg.b_est, pos.b_est)
+
+
+class TestLargeAngles:
+    """Case II at 30 s: roll and pitch reach about +-110 deg and yaw 165 deg,
+    so the attitude crosses quarter turns between the octant centers."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_h2_does_not_lock_on_long_case_two(self, seed, schedule):
+        ds = simulate_scenario(ScenarioConfig.for_case("II", seed=seed, duration=30.0))
+        res = evaluate_run(ds, run_filter(ds, "h2", schedule=schedule))
+        assert res.max_total_deg < 90.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from attiq.plant import (
+    CENTER_AXIS,
     N_OCTANTS,
     OCTANT_TRIPLES,
     LinearErrorPlant,
@@ -37,6 +38,11 @@ class TestOctantRotations:
             seen.setdefault(signs, []).append(i)
         assert len(seen) == 4
         assert all(len(v) == 2 for v in seen.values())
+        # the two octants at one attitude share its +-1 quaternion component,
+        # so a twin can take its center's gain
+        axes = [{CENTER_AXIS[i] for i in octants} for octants in seen.values()]
+        assert all(len(a) == 1 for a in axes)
+        assert set.union(*axes) == {0, 1, 2, 3}
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ bit-for-bit. write_csv, which writes the trace CSV too, prints them with a
 numpy kernel that reproduces '%.17g' byte for byte and hands the values it
 cannot decide exactly to Python's formatting. The sidecar (same path with a
 .json suffix) carries the generating ScenarioConfig, including the seed.
-Truth angular rates are not stored, so a loaded Dataset has w_true None.
 """
 
 from __future__ import annotations
@@ -336,11 +335,7 @@ def _raise_row_error(path: Path, rows: list[str], fallback: str):
 
 
 def read_dataset(path) -> Dataset:
-    """Load a dataset written by write_dataset; blank lines are ignored.
-
-    Truth angular rates are not part of the file format, so the loaded
-    dataset's w_true is None.
-    """
+    """Load a dataset written by write_dataset; blank lines are ignored."""
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .plant import CENTER_OCTANT, SampledModel, measurement_matrix, sampled_model
+from .plant import SampledModel, measurement_matrix, sampled_model
 from .quat import (
     _check_unit,
     dcm_of,
@@ -35,7 +35,7 @@ from .quat import (
     small_angle_quat,
 )
 from .sim import Dataset, NoiseParams
-from .synthesis import GainSchedule, default_design_noise
+from .synthesis import CENTER_OCTANT, GainSchedule, default_design_noise
 
 # initial EKF error standard deviations: attitude (rad) and gyro bias (rad/s)
 INITIAL_ATT_STD = 0.1

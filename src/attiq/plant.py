@@ -5,15 +5,9 @@ hover/nominal-rate operating point the attitude error integrates the bias
 error and the gyro noise, while the vector observations (gravity and
 magnetic field rotated into the body frame) see the attitude error through
 the cross-product of the predicted body-frame reference vectors. Gain
-synthesis takes the model at each octant center (build_plant), the EKF over
-one sample interval (sampled_model) with its measurement_matrix at every
-predicted attitude.
-
-The scheduling grid is eight octants, each named by a roll/pitch/yaw
-triple of 0s and pis. Their centers are only four physical attitudes: the
-identity and the half-turns about x, y and z, each reached by two triples.
-One quaternion component of each center is +-1, so the nearest center of
-an attitude is its component of largest magnitude.
+synthesis takes the model for given reference vectors (build_plant), the
+EKF over one sample interval (sampled_model) with its measurement_matrix at
+every predicted attitude.
 """
 
 from __future__ import annotations
@@ -22,43 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import dcm_of, quat_of_euler, skew
+from .quat import skew
 from .sim import DEFAULT_FIELD, DEFAULT_GRAVITY, NoiseParams
-
-# roll/pitch/yaw of the eight octant centers, in scheduling order
-OCTANT_TRIPLES = (
-    (0.0, 0.0, 0.0),
-    (0.0, 0.0, np.pi),
-    (0.0, np.pi, 0.0),
-    (np.pi, 0.0, 0.0),
-    (0.0, np.pi, np.pi),
-    (np.pi, np.pi, 0.0),
-    (np.pi, 0.0, np.pi),
-    (np.pi, np.pi, np.pi),
-)
-
-N_OCTANTS = len(OCTANT_TRIPLES)
-
-# index, among (q1, q2, q3, q4), of the +-1 component of each octant center
-CENTER_AXIS = tuple(
-    int(np.argmax(np.abs(quat_of_euler(*triple)))) for triple in OCTANT_TRIPLES
-)
-# the octant scheduled at each center, indexed like CENTER_AXIS: of the two
-# octants there, the one with zero pitch
-CENTER_OCTANT = tuple(
-    next(k for k in range(N_OCTANTS) if CENTER_AXIS[k] == axis and OCTANT_TRIPLES[k][1] == 0.0)
-    for axis in range(4)
-)
 
 # relative tolerance of is_detectable's PBH test, scaled by max(|a|, |c|, 1)
 DETECTABILITY_TOL = 1e-8
-
-
-def octant_rotation(octant: int) -> np.ndarray:
-    """Inertial-to-body DCM at the center attitude of an octant."""
-    if not 0 <= octant < N_OCTANTS:
-        raise ValueError(f"octant must be 0..{N_OCTANTS - 1}, got {octant}")
-    return dcm_of(quat_of_euler(*OCTANT_TRIPLES[octant]))
 
 
 @dataclass
@@ -161,13 +123,9 @@ def sampled_model(noise: NoiseParams, dt: float) -> SampledModel:
     return SampledModel(np.eye(6) + a * dt, bw @ bw.T * dt, dw @ dw.T)
 
 
-def build_plant(
-    noise: NoiseParams,
-    octant: int = 0,
-    g=DEFAULT_GRAVITY,
-    h=DEFAULT_FIELD,
-) -> LinearErrorPlant:
-    """Error model at one octant center for the given sensor noise levels.
+def build_plant(noise: NoiseParams, g=DEFAULT_GRAVITY, h=DEFAULT_FIELD) -> LinearErrorPlant:
+    """Error model for the given sensor noise levels at the attitude whose
+    body frame sees gravity g and field h (the identity, for the defaults).
 
     Requires strictly positive noise intensities (see error_model) and
     non-parallel gravity/field directions (otherwise rotation about the
@@ -182,6 +140,4 @@ def build_plant(
             "gravity and field directions are parallel; attitude about their "
             "common axis is unobservable"
         )
-
-    r = octant_rotation(octant)
-    return LinearErrorPlant(a, bw, measurement_matrix(r @ g, r @ h), dw, np.eye(6))
+    return LinearErrorPlant(a, bw, measurement_matrix(g, h), dw, np.eye(6))

@@ -17,9 +17,7 @@ stacked DCMs of all samples are each one array expression. The truth
 quaternion recursion is one quat.integrate_sequence call, whose steps equal
 bit for bit the quat.integrate_step the filters propagate with.
 
-A Dataset holds one (n, k) array per quantity, one row per sample. Its
-w_true is None when it was read from a file, which does not store the truth
-angular rates.
+A Dataset holds one (n, k) array per quantity, one row per sample.
 """
 
 from __future__ import annotations
@@ -337,11 +335,7 @@ def _rotate(c: np.ndarray, v) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """One scenario's samples as arrays, one row per sample.
-
-    w_true is None when the dataset was read from a file, which does not
-    carry the truth angular rates.
-    """
+    """One scenario's samples as arrays, one row per sample."""
 
     config: ScenarioConfig
     t: np.ndarray  # (n,) s
@@ -350,7 +344,6 @@ class Dataset:
     m_m: np.ndarray  # (n, 3) uT
     q_true: np.ndarray  # (n, 4) unit quaternion, inertial -> body
     b_true: np.ndarray  # (n, 3) gyro bias, rad/s
-    w_true: np.ndarray | None = None  # (n, 3) body angular rate, rad/s
 
 
 def simulate_scenario(config: ScenarioConfig) -> Dataset:
@@ -358,6 +351,4 @@ def simulate_scenario(config: ScenarioConfig) -> Dataset:
     streams = SensorStreams(config.seed)
     t, q, w, b = generate_truth(config, streams)
     w_m, a_m, m_m = measure(q, w, b, config.noise, streams, config.g, config.h)
-    return Dataset(
-        config=config, t=t, w_m=w_m, a_m=a_m, m_m=m_m, q_true=q, b_true=b, w_true=w
-    )
+    return Dataset(config=config, t=t, w_m=w_m, a_m=a_m, m_m=m_m, q_true=q, b_true=b)

@@ -9,15 +9,19 @@ linearized estimation error dynamics. Two independent routes compute it:
 - the stabilizing solution of the filter Riccati equation (scipy's
   solve_continuous_are).
 
+The scheduling grid is eight octants, each named by a roll/pitch/yaw
+triple of 0s and pis. Their centers are only four physical attitudes: the
+identity and the half-turns about x, y and z, each reached by two triples.
+One quaternion component of each center is +-1, so the nearest center of
+an attitude is its component of largest magnitude (CENTER_AXIS).
+
 The error plant is rotation-equivariant, skew(R g) = R skew(g) R^T, so the
-schedule constructor solves the LMI once, at octant 0, and rotates that
-gain to the four center attitudes. The eight octants name only those four
-attitudes, each twice (plant.CENTER_AXIS). The constructor solves the
-Riccati equation on the plant of each attitude's scheduled octant
-(plant.CENTER_OCTANT) and refuses to emit gains when that octant's rotated
-gain or performance level disagrees with it; each twin octant takes its
-center's gain. So a regression in either route or in the symmetry map
-cannot ship silently.
+schedule constructor synthesizes one plant, the identity attitude's: it
+solves the LMI there, refuses to emit gains when the Riccati route
+disagrees with that gain or its performance level, and rotates the gain to
+the four center attitudes; each twin octant takes its center's gain. So a
+regression in either route cannot ship silently; the tests pin the
+symmetry map against the Riccati gain of every octant's plant.
 
 The solver stack loads on first use: scipy.linalg when h2_norm,
 solve_h2_care or the LMI start point first runs, and sdp.py when
@@ -34,19 +38,36 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import sensor_model_from_dict, sensor_model_to_dict
-from .plant import (
-    CENTER_AXIS,
-    CENTER_OCTANT,
-    N_OCTANTS,
-    LinearErrorPlant,
-    build_plant,
-    closed_loop,
-    is_detectable,
-    octant_rotation,
-)
+from .plant import LinearErrorPlant, build_plant, closed_loop, is_detectable
+from .quat import dcm_of, quat_of_euler
 from .sim import DEFAULT_FIELD, DEFAULT_GRAVITY, NoiseParams
 
 GAIN_FORMAT_VERSION = 1
+
+# roll/pitch/yaw of the eight octant centers, in scheduling order
+OCTANT_TRIPLES = (
+    (0.0, 0.0, 0.0),
+    (0.0, 0.0, np.pi),
+    (0.0, np.pi, 0.0),
+    (np.pi, 0.0, 0.0),
+    (0.0, np.pi, np.pi),
+    (np.pi, np.pi, 0.0),
+    (np.pi, 0.0, np.pi),
+    (np.pi, np.pi, np.pi),
+)
+
+N_OCTANTS = len(OCTANT_TRIPLES)
+
+# index, among (q1, q2, q3, q4), of the +-1 component of each octant center
+CENTER_AXIS = tuple(
+    int(np.argmax(np.abs(quat_of_euler(*triple)))) for triple in OCTANT_TRIPLES
+)
+# the octant scheduled at each center, indexed like CENTER_AXIS: of the two
+# octants there, the one with zero pitch
+CENTER_OCTANT = tuple(
+    next(k for k in range(N_OCTANTS) if CENTER_AXIS[k] == axis and OCTANT_TRIPLES[k][1] == 0.0)
+    for axis in range(4)
+)
 
 # relative tolerance of the schedule's LMI/Riccati cross-check
 CROSS_CHECK_TOL = 1e-3
@@ -258,6 +279,13 @@ def solve_h2_lmi(plant: LinearErrorPlant):
     return l, gamma, result
 
 
+def octant_rotation(octant: int) -> np.ndarray:
+    """Inertial-to-body DCM at the center attitude of an octant."""
+    if not 0 <= octant < N_OCTANTS:
+        raise ValueError(f"octant must be 0..{N_OCTANTS - 1}, got {octant}")
+    return dcm_of(quat_of_euler(*OCTANT_TRIPLES[octant]))
+
+
 def gain_symmetry_transform(l: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Map a 6x6 gain between octants whose centers differ by rotation r."""
     t = np.zeros((6, 6))
@@ -276,12 +304,10 @@ class GainSchedule:
     g: tuple
     h: tuple
     # synthesis certificates, kept in memory only (gain files do not store
-    # them): (8,) relative mismatch of each gain against the Riccati gain of
-    # its center attitude, solved once at the octant scheduled there and
-    # copied with the gain to the twin octant; and the octant-0 LMI solve's
-    # duality gap <Z, S>, its interior-point iterations and its
-    # Schur-system solves
-    care_mismatch: np.ndarray | None = None
+    # them): the relative mismatch of the LMI gain against the Riccati gain
+    # of the identity plant, and the LMI solve's duality gap <Z, S>, its
+    # interior-point iterations and its Schur-system solves
+    care_mismatch: float | None = None
     lmi_gap: float | None = None
     lmi_outer_iterations: int | None = None
     lmi_newton_iterations: int | None = None
@@ -290,49 +316,44 @@ class GainSchedule:
 def synthesize_schedule(
     noise: NoiseParams, g=DEFAULT_GRAVITY, h=DEFAULT_FIELD
 ) -> GainSchedule:
-    """Synthesize all octant gains from one LMI solve plus symmetry.
+    """Synthesize all octant gains from one plant plus symmetry.
 
-    The gain at each of the four center attitudes is T_k L0 T_k^T with
-    T_k = blkdiag(R_k, R_k), where L0 is the LMI gain at octant 0 and R_k
-    the center rotation of the octant scheduled there (CENTER_OCTANT); each
-    twin octant takes its center's gain, and every octant shares octant 0's
-    performance level. Each center gain is checked against the Riccati
-    solution of its own plant. Raises SynthesisError when its gain or
-    performance level disagrees beyond CROSS_CHECK_TOL, or when its closed
-    loop fails to be Hurwitz.
+    Solves the LMI on the identity attitude's plant, build_plant(noise, g,
+    h), for the gain L0 and level gamma0, and checks both once against the
+    Riccati solution of that plant. Raises SynthesisError when the gain or
+    performance level disagrees beyond CROSS_CHECK_TOL, or when the closed
+    loop fails to be Hurwitz. The gain at each of the four center attitudes
+    is T_k L0 T_k^T with T_k = blkdiag(R_k, R_k) and R_k the center rotation
+    of the octant scheduled there (CENTER_OCTANT); each twin octant takes
+    its center's gain, and every octant shares gamma0.
     """
-    plants = {octant: build_plant(noise, octant, g, h) for octant in sorted(CENTER_OCTANT)}
-    l0, gamma0, lmi = solve_h2_lmi(plants[0])
-    center_gains, center_mismatch = {}, {}
-    for octant, plant in plants.items():
-        gain = gain_symmetry_transform(l0, octant_rotation(octant))
-        mismatch, gamma_care_rel, gamma_attained_rel, _ = care_cross_check(plant, gain, gamma0)
-        if mismatch > CROSS_CHECK_TOL:
-            raise SynthesisError(
-                f"octant {octant}: LMI and Riccati gains disagree "
-                f"(relative mismatch {mismatch:.3e})"
-            )
-        if gamma_care_rel > CROSS_CHECK_TOL:
-            raise SynthesisError(
-                f"octant {octant}: LMI and Riccati performance levels disagree "
-                f"(relative mismatch {gamma_care_rel:.3e})"
-            )
-        if gamma_attained_rel > CROSS_CHECK_TOL:
-            raise SynthesisError(
-                f"octant {octant}: bound {gamma0:.6e} does not match the achieved "
-                f"closed-loop norm (relative mismatch {gamma_attained_rel:.3e})"
-            )
-        center_gains[octant], center_mismatch[octant] = gain, mismatch
-    centers = [CENTER_OCTANT[axis] for axis in CENTER_AXIS]
-    gains = np.array([center_gains[center] for center in centers])
-    care_mismatch = np.array([center_mismatch[center] for center in centers])
+    plant = build_plant(noise, g, h)
+    l0, gamma0, lmi = solve_h2_lmi(plant)
+    mismatch, gamma_care_rel, gamma_attained_rel, _ = care_cross_check(plant, l0, gamma0)
+    if mismatch > CROSS_CHECK_TOL:
+        raise SynthesisError(
+            f"LMI and Riccati gains disagree (relative mismatch {mismatch:.3e})"
+        )
+    if gamma_care_rel > CROSS_CHECK_TOL:
+        raise SynthesisError(
+            "LMI and Riccati performance levels disagree "
+            f"(relative mismatch {gamma_care_rel:.3e})"
+        )
+    if gamma_attained_rel > CROSS_CHECK_TOL:
+        raise SynthesisError(
+            f"bound {gamma0:.6e} does not match the achieved closed-loop norm "
+            f"(relative mismatch {gamma_attained_rel:.3e})"
+        )
+    gains = np.array(
+        [gain_symmetry_transform(l0, octant_rotation(CENTER_OCTANT[axis])) for axis in CENTER_AXIS]
+    )
     return GainSchedule(
         gains=gains,
         gammas=np.full(N_OCTANTS, gamma0),
         noise=noise,
         g=tuple(float(v) for v in g),
         h=tuple(float(v) for v in h),
-        care_mismatch=care_mismatch,
+        care_mismatch=mismatch,
         lmi_gap=lmi.gap,
         lmi_outer_iterations=lmi.outer_iterations,
         lmi_newton_iterations=lmi.newton_iterations,

@@ -18,15 +18,17 @@ import numpy as np
 
 from .dataset import read_dataset, write_dataset
 from .filters import attitude_errors, evaluate_run, run_filter
-from .plant import N_OCTANTS, LinearErrorPlant, build_plant
-from .quat import dcm_of, integrate_step, quat_multiply, renormalize
+from .plant import LinearErrorPlant, build_plant
+from .quat import dcm_of, integrate_step, normalize, quat_multiply, renormalize
 from .report import CASE_CHECKS, TIMING_RATIO_THRESHOLD
-from .sim import NoiseParams, ScenarioConfig, simulate_scenario
+from .sim import DEFAULT_FIELD, DEFAULT_GRAVITY, NoiseParams, ScenarioConfig, simulate_scenario
 from .synthesis import (
+    N_OCTANTS,
     GainSchedule,
     care_cross_check,
     default_design_noise,
     h2_norm,
+    octant_rotation,
     solve_h2_care,
     solve_h2_lmi,
     synthesize_schedule,
@@ -134,8 +136,10 @@ def criterion_4_route_agreement(noise: NoiseParams) -> CriterionResult:
 
     def body():
         worst_gain, worst_gamma, worst_eig = 0.0, 0.0, -np.inf
+        g, h = np.asarray(DEFAULT_GRAVITY), np.asarray(DEFAULT_FIELD)
         for octant in range(N_OCTANTS):
-            plant = build_plant(noise, octant)
+            r = octant_rotation(octant)
+            plant = build_plant(noise, r @ g, r @ h)
             l_lmi, gamma, _ = solve_h2_lmi(plant)
             rel, _, gamma_rel, abscissa = care_cross_check(plant, l_lmi, gamma)
             worst_gain = max(worst_gain, rel)
@@ -199,7 +203,7 @@ def criterion_7_convergence(schedule: GainSchedule) -> CriterionResult:
             axis /= np.linalg.norm(axis)
             half = np.deg2rad(RECOVERY_ANGLE_DEG) / 2.0
             dq = np.array([*(np.sin(half) * axis), np.cos(half)])
-            q0 = renormalize(quat_multiply(dq, ds.q_true[0]))
+            q0 = normalize(quat_multiply(dq, ds.q_true[0]))
             run = run_filter(ds, "h2", schedule=schedule, q0=q0)
             _, totals = attitude_errors(run.q_est, ds.q_true)
             tail = float(np.degrees(totals[ds.t >= 5.0]).max())

@@ -119,17 +119,13 @@ class TestSynth:
         schedule = load_gains(workdir / "g.json")
         assert schedule.gains.shape == (8, 6, 6)
         out = capsys.readouterr().out
-        # one residual line per octant, all cross-checks tight
-        resids = [
-            float(line.split()[-1])
-            for line in out.splitlines()
-            if line and line.split()[0].isdigit()
-        ]
-        assert len(resids) == 8
-        assert max(resids) < 1e-3
+        # one cross-check line for the one synthesized plant, and it is tight
+        (line,) = [line for line in out.splitlines() if line.startswith("gamma ")]
+        assert float(line.split(",")[0].split()[-1]) == pytest.approx(schedule.gammas[0], rel=1e-5)
+        assert float(line.split()[-1]) < 1e-3
 
     def test_solves_each_riccati_problem_once(self, workdir, monkeypatch):
-        # the eight octants name four center attitudes, one Riccati problem each
+        # one plant is synthesized; symmetry gives the eight octants' gains
         calls = []
 
         def counted(*args):
@@ -138,7 +134,7 @@ class TestSynth:
 
         monkeypatch.setattr(scipy.linalg, "solve_continuous_are", counted)
         assert main(["synth", "--out", "g.json"]) == 0
-        assert len(calls) == 4
+        assert len(calls) == 1
 
     def test_rerun_byte_identical(self, workdir):
         assert main(["synth", "--out", "a.json"]) == 0
@@ -162,12 +158,10 @@ class TestSynth:
         (workdir / "noise.json").write_text('{"n_b": 0.1}')
         assert main(["synth", "--config", "noise.json", "--out", "g.json"]) == 0
         assert load_gains(workdir / "g.json").noise.n_b == 0.1
-        resids = [
-            float(line.split()[-1])
-            for line in capsys.readouterr().out.splitlines()
-            if line and line.split()[0].isdigit()
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("gamma ")
         ]
-        assert len(resids) == 8 and max(resids) < 1e-3
+        assert float(line.split()[-1]) < 1e-3
 
     def test_lmi_route_failure_refused(self, workdir, monkeypatch, capsys):
         def stalled(*args, **kwargs):

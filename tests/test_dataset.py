@@ -84,10 +84,6 @@ class TestRoundTrip:
         loaded = read_dataset(path)
         assert loaded.config == small_dataset.config
 
-    def test_loaded_truth_has_no_rates(self, small_dataset, tmp_path):
-        loaded = read_dataset(write_small(small_dataset, tmp_path))
-        assert loaded.w_true is None
-
     def test_bytes_match_row_by_row_rendering(self, small_dataset, case_iv_dataset, tmp_path):
         for ds in (small_dataset, case_iv_dataset):
             path = write_dataset(ds, tmp_path / "rows.csv")

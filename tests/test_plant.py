@@ -1,62 +1,16 @@
 import numpy as np
 import pytest
 
-from attiq.plant import (
-    CENTER_AXIS,
-    N_OCTANTS,
-    OCTANT_TRIPLES,
-    LinearErrorPlant,
-    build_plant,
-    closed_loop,
-    is_detectable,
-    octant_rotation,
-)
+from attiq.plant import LinearErrorPlant, build_plant, closed_loop, is_detectable
 from attiq.quat import skew
 from attiq.sim import NoiseParams
 
 NOISE = NoiseParams(n_w=1e-3, n_b=1e-4, n_a=1e-2, n_m=0.5)
 
 
-class TestOctantRotations:
-    def test_count_and_orthogonality(self):
-        assert N_OCTANTS == 8
-        for i in range(N_OCTANTS):
-            r = octant_rotation(i)
-            np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
-            assert np.linalg.det(r) == pytest.approx(1.0)
-
-    def test_first_octant_is_identity(self):
-        np.testing.assert_allclose(octant_rotation(0), np.eye(3), atol=1e-12)
-
-    def test_centers_are_sign_matrices(self):
-        # every center is diag(+-1) with det 1; four distinct, each twice
-        seen = {}
-        for i in range(N_OCTANTS):
-            r = octant_rotation(i)
-            signs = tuple(int(round(v)) for v in np.diag(r))
-            np.testing.assert_allclose(r, np.diag(signs), atol=1e-12)
-            seen.setdefault(signs, []).append(i)
-        assert len(seen) == 4
-        assert all(len(v) == 2 for v in seen.values())
-        # the two octants at one attitude share its +-1 quaternion component,
-        # so a twin can take its center's gain
-        axes = [{CENTER_AXIS[i] for i in octants} for octants in seen.values()]
-        assert all(len(a) == 1 for a in axes)
-        assert set.union(*axes) == {0, 1, 2, 3}
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            octant_rotation(8)
-
-    def test_triples_use_only_zero_and_pi(self):
-        for triple in OCTANT_TRIPLES:
-            for angle in triple:
-                assert angle in (0.0, np.pi)
-
-
 class TestBuildPlant:
     def test_dynamics_layout(self):
-        p = build_plant(NOISE, 0)
+        p = build_plant(NOISE)
         expected_a = np.zeros((6, 6))
         expected_a[:3, 3:] = -np.eye(3)
         np.testing.assert_array_equal(p.a, expected_a)
@@ -67,26 +21,27 @@ class TestBuildPlant:
         np.testing.assert_array_equal(p.cz, np.eye(6))
 
     def test_output_map_uses_rotated_references(self):
-        g = (0.0, 0.0, 9.81)
-        h = (22.5, 1.5, 42.0)
-        for octant in range(N_OCTANTS):
-            p = build_plant(NOISE, octant, g, h)
-            r = octant_rotation(octant)
-            np.testing.assert_allclose(p.cy[:3, :3], skew(r @ g), atol=1e-12)
-            np.testing.assert_allclose(p.cy[3:, :3], skew(r @ h), atol=1e-12)
+        g = np.array([0.0, 0.0, 9.81])
+        h = np.array([22.5, 1.5, 42.0])
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            r, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            p = build_plant(NOISE, r @ g, r @ h)
+            np.testing.assert_array_equal(p.cy[:3, :3], skew(r @ g))
+            np.testing.assert_array_equal(p.cy[3:, :3], skew(r @ h))
             np.testing.assert_array_equal(p.cy[:, 3:], np.zeros((6, 3)))
 
     def test_rejects_parallel_references(self):
         with pytest.raises(ValueError, match="parallel"):
-            build_plant(NOISE, 0, g=(0.0, 0.0, 9.81), h=(0.0, 0.0, 50.0))
+            build_plant(NOISE, g=(0.0, 0.0, 9.81), h=(0.0, 0.0, 50.0))
 
     def test_rejects_zero_noise(self):
         bad = NoiseParams(n_w=0.0, n_b=1e-4, n_a=1e-2, n_m=0.5)
         with pytest.raises(ValueError, match="n_w"):
-            build_plant(bad, 0)
+            build_plant(bad)
 
     def test_detectable_for_default_references(self):
-        p = build_plant(NOISE, 0)
+        p = build_plant(NOISE)
         assert is_detectable(p.a, p.cy)
 
 
@@ -103,7 +58,7 @@ class TestDetectability:
 
     def test_one_pbh_test_per_distinct_eigenvalue(self, monkeypatch):
         # the attitude plant's six eigenvalues are all 0
-        p = build_plant(NOISE, 0)
+        p = build_plant(NOISE)
         svd = np.linalg.svd
         calls = []
 
@@ -123,7 +78,7 @@ class TestDetectability:
 
 class TestClosedLoop:
     def test_shapes_and_content(self):
-        p = build_plant(NOISE, 0)
+        p = build_plant(NOISE)
         l = np.full((6, 6), 0.5)
         acl, bcl = closed_loop(p, l)
         np.testing.assert_allclose(acl, p.a + l @ p.cy)

@@ -161,9 +161,11 @@ class TestExactness:
 
     @pytest.mark.parametrize("case, kw", CASE_EDGES)
     def test_noiseless_measurements_are_dcm_products(self, case, kw):
-        ds = simulate_scenario(quiet_config(case, seed=3, **kw))
+        cfg = quiet_config(case, seed=3, **kw)
+        ds = simulate_scenario(cfg)
+        _, _, w, _ = generate_truth(cfg)
         g, h = np.array(ds.config.g), np.array(ds.config.h)
-        assert np.array_equal(ds.w_m, ds.w_true)
+        assert np.array_equal(ds.w_m, w)
         for k in range(len(ds.t)):
             c = dcm_of(ds.q_true[k])
             assert np.array_equal(ds.a_m[k], rotated(c, g)), k
@@ -214,15 +216,19 @@ class TestMeasure:
             assert np.array_equal(m_m[k], rotated(c, h)), k
 
     def test_noise_free_measurements_are_exact(self):
-        ds = simulate_scenario(quiet_config("II", duration=2.0))
-        np.testing.assert_allclose(ds.w_m, ds.w_true, atol=1e-15)
+        cfg = quiet_config("II", duration=2.0)
+        ds = simulate_scenario(cfg)
+        _, _, w, _ = generate_truth(cfg)
+        np.testing.assert_allclose(ds.w_m, w, atol=1e-15)
         for q_k, a_k in zip(ds.q_true, ds.a_m):
             np.testing.assert_allclose(a_k, dcm_of(q_k) @ [0.0, 0.0, 9.81], atol=1e-12)
 
     def test_gyro_includes_bias(self):
         noise = NoiseParams(n_w=0.0, n_b=0.0, n_a=0.0, n_m=0.0, b0=(0.01, 0.02, -0.03))
-        ds = simulate_scenario(quiet_config("I", noise=noise, duration=1.0))
-        for bias in ds.w_m - ds.w_true:
+        cfg = quiet_config("I", noise=noise, duration=1.0)
+        ds = simulate_scenario(cfg)
+        _, _, w, _ = generate_truth(cfg)
+        for bias in ds.w_m - w:
             np.testing.assert_allclose(bias, [0.01, 0.02, -0.03])
 
     def test_determinism(self):
@@ -263,11 +269,12 @@ class TestMeasure:
         # reference: one DCM and one draw per channel for each sample in turn
         cfg = ScenarioConfig.for_case(case, seed=7, duration=5.0)
         ds = simulate_scenario(cfg)
+        _, _, w, _ = generate_truth(cfg)
         streams = SensorStreams(cfg.seed)
         noise, g, h = cfg.noise, np.array(cfg.g), np.array(cfg.h)
         for k in range(cfg.n_samples):
             c = dcm_of(ds.q_true[k])
-            w_m = ds.w_true[k] + ds.b_true[k] + noise.n_w * streams.gyro.standard_normal(3)
+            w_m = w[k] + ds.b_true[k] + noise.n_w * streams.gyro.standard_normal(3)
             a_m = rotated(c, g) + noise.n_a * streams.accel.standard_normal(3)
             m_m = rotated(c, h) + noise.n_m * streams.mag.standard_normal(3)
             assert np.array_equal(ds.w_m[k], w_m)
